@@ -83,9 +83,10 @@ def _cmd_verify(args) -> int:
     tiling = split_mod.is_tiling(sp)
     lat = lattice_mod.lattice_from_splitting(sp)
     det = lattice_mod.determinant(lat)
-    density = lattice_mod.packing_density(lat, sp.shape)
+    density = lattice_mod.packing_density(lat, sp.shape, det)
     periods = lattice_mod.period(sp)
-    geo = lattice_mod.geometric_check(sp) if sp.shape.volume <= 100_000 else None
+    guard = lattice_mod.GEOMETRIC_CHECK_MAX_VOLUME
+    geo = lattice_mod.geometric_check(sp, lat, det) if sp.shape.volume <= guard else None
     verdict = "tiling" if tiling else "packing"
     sing = split_mod.classify_singularity(sp).value
     index = sp.group.order // det
@@ -97,6 +98,8 @@ def _cmd_verify(args) -> int:
         lines.append(f"splitters generate an index-{index} subgroup")
     if geo is not None:
         lines.append(f"geometric check: {geo.verdict}, {geo.uncovered} uncovered coset(s)")
+    else:
+        lines.append(f"geometric check skipped: cross volume {sp.shape.volume} exceeds {guard}")
     payload = {
         "verdict": verdict,
         "density": str(density),

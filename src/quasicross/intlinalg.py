@@ -2,14 +2,20 @@
 form, and fraction-free determinants.
 
 Everything here works on plain Python ints (arbitrary precision), with
-matrices as lists of row lists.  The HNF convention used throughout is the
-lower-triangular one: row i has its pivot on the diagonal, zeros to the
-right of it, and the entries below a pivot are reduced into [0, pivot).
+dense matrices as lists of row lists.  The HNF convention used throughout
+is the lower-triangular one: row i has its pivot on the diagonal, zeros to
+the right of it, and the entries below a pivot are reduced into [0, pivot).
+A sparse row is the tuple of its nonzero (column, value) pairs in
+ascending column order, so the pivot of a sparse HNF row is its last pair.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from math import gcd
+
 Matrix = list[list[int]]
+SparseRow = tuple[tuple[int, int], ...]
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -94,24 +100,100 @@ def hnf_lower(rows: Matrix) -> Matrix:
     return m
 
 
-def reduce_mod_lattice(hnf: Matrix, vector: list[int]) -> tuple[int, ...]:
-    """Canonical coset representative of `vector` modulo the lattice
-    spanned by a lower-triangular HNF basis.
+def kernel_hnf(vectors, moduli) -> list[SparseRow]:
+    """Sparse lower-triangular HNF of {x in Z^n : sum x_i v_i = 0 mod moduli}.
 
-    The representative lives in the box prod([0, hnf[i][i])), one point
-    per coset.
+    Works column by column.  The pivot of row i is the order t of v_i
+    modulo the subgroup H generated by v_0..v_{i-1}, and the row is t*e_i
+    minus an expression of t*v_i over the earlier generators, reduced into
+    HNF range.  Only columns with a pivot above 1 (at most log2 of the
+    group order of them) ever enter such an expression, so the rows cost
+    O(n + nonzeros) beyond the small k x k work per column.
+
+    H is kept as a lower-triangular basis `gens` of its preimage in Z^k,
+    which starts as diag(moduli); `combos[c]` records which combination of
+    the pivot columns' vectors produces `gens[c]` modulo the moduli.
     """
-    x = list(vector)
-    n = len(hnf)
-    for i in range(n - 1, -1, -1):
-        d = hnf[i][i]
-        if 0 <= x[i] < d:
+    k = len(moduli)
+    gens = [[d if c == r else 0 for c in range(k)] for r, d in enumerate(moduli)]
+    combos: list[dict[int, int]] = [{} for _ in range(k)]
+    pivots: list[tuple[int, int, SparseRow]] = []  # (column, pivot, row), ascending
+    rows = []
+    for i, v in enumerate(vectors):
+        # smallest t with t*v in H, and t*v = sum coef[c] * gens[c]
+        t, rest, coef = 1, list(v), [0] * k
+        for c in range(k - 1, -1, -1):
+            d = gens[c][c]
+            f = d // gcd(rest[c], d)
+            if f != 1:
+                t *= f
+                rest = [f * x for x in rest]
+                coef = [f * x for x in coef]
+            coef[c] = rest[c] // d
+            if coef[c]:
+                rest = [x - coef[c] * y for x, y in zip(rest, gens[c])]
+        row: dict[int, int] = {}
+        for c in range(k):
+            for j, a in combos[c].items():
+                row[j] = row.get(j, 0) - coef[c] * a
+        for j, pivot, prow in reversed(pivots):
+            q = row.get(j, 0) // pivot
+            if q:
+                for jj, h in prow:
+                    row[jj] = row.get(jj, 0) - q * h
+        sparse = tuple((j, row[j]) for j in sorted(row) if row[j]) + ((i, t),)
+        rows.append(sparse)
+        if t == 1:
             continue
-        q = x[i] // d
+        pivots.append((i, t, sparse))
+        new, combo = list(v), {i: 1}
+        for c in range(k - 1, -1, -1):
+            if new[c]:
+                g, u, w = xgcd(gens[c][c], new[c])
+                fa, fb = gens[c][c] // g, new[c] // g
+                gens[c], new = (
+                    [u * x + w * y for x, y in zip(gens[c], new)],
+                    [fa * y - fb * x for x, y in zip(gens[c], new)],
+                )
+                combos[c], combo = _mix(u, combos[c], w, combo), _mix(-fb, combos[c], fa, combo)
+    return rows
+
+
+def _mix(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:
+    """The sparse combination a*x + b*y."""
+    out = {j: a * v for j, v in x.items()}
+    for j, v in y.items():
+        out[j] = out.get(j, 0) + b * v
+    return {j: v for j, v in out.items() if v}
+
+
+def reduce_mod_lattice(hnf, vector: dict[int, int]) -> SparseRow:
+    """Canonical coset representative of a sparse vector modulo the
+    lattice spanned by sparse lower-triangular HNF rows.
+
+    `vector` maps coordinates to values; absent coordinates are 0.  The
+    representative lives in the box prod([0, pivot_i)), one point per
+    coset, and comes back as its nonzero (coordinate, value) pairs in
+    descending coordinate order, so equal cosets give equal keys.  Only
+    the coordinates the reduction touches are visited, largest first.
+    """
+    x = dict(vector)
+    todo = [-i for i in x]
+    heapify(todo)
+    rep = []
+    while todo:
+        i = -heappop(todo)
         row = hnf[i]
-        for j in range(i + 1):
-            x[j] -= q * row[j]
-    return tuple(x)
+        q, r = divmod(x.pop(i), row[-1][1])
+        if r:
+            rep.append((i, r))
+        if q:
+            for j, h in row[:-1]:
+                if j not in x:
+                    x[j] = 0
+                    heappush(todo, -j)
+                x[j] -= q * h
+    return tuple(rep)
 
 
 def bareiss_det(rows: Matrix) -> int:

@@ -1,9 +1,12 @@
 """Integer lattices derived from splittings.
 
 The lattice of a splitting is the kernel of the homomorphism
-x -> sum x_i s_i, a full-rank sublattice of Z^n.  Bases are kept in
+x -> sum x_i s_i, a full-rank sublattice of Z^n.  Kernel bases are kept in
 lower-triangular Hermite normal form, which is unique, so equal lattices
-compare equal.  `geometric_check` re-derives the packing/tiling verdict
+compare equal.  Rows are stored sparsely: the paper's kernels are a
+diagonal plus a few nonzero columns below it, so building, reducing and
+taking the determinant cost O(n + nonzeros), and dense rows are made only
+for output.  `geometric_check` re-derives the packing/tiling verdict
 purely from the lattice geometry (coset coverage on the quotient torus),
 independently of the product-table logic in `splitting`.
 """
@@ -13,72 +16,98 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import prod
 
-from .intlinalg import bareiss_det, hnf_lower, left_kernel, reduce_mod_lattice
-from .splitting import QuasiCrossShape, Splitting
+from .intlinalg import SparseRow, bareiss_det, hnf_lower, kernel_hnf, left_kernel, reduce_mod_lattice
+from .splitting import QuasiCrossShape, Splitting, json_int_list
 
 GEOMETRIC_CHECK_MAX_VOLUME = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntegerLattice:
-    """Full-rank sublattice of Z^n given by basis rows."""
+    """Full-rank sublattice of Z^n given by basis rows.
 
-    basis: tuple[tuple[int, ...], ...]
+    Built from dense rows; stored as sparse rows (`intlinalg.SparseRow`),
+    and `basis` rebuilds the dense rows on demand.
+    """
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.basis)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
+    rows: tuple[SparseRow, ...]
+
+    def __init__(self, basis) -> None:
+        dense = [[int(x) for x in row] for row in basis]
+        n = len(dense)
+        if n == 0 or any(len(r) != n for r in dense):
             raise ValueError("basis must be a non-empty square matrix")
-        object.__setattr__(self, "basis", rows)
+        rows = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in dense)
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def from_rows(cls, rows: tuple[SparseRow, ...]) -> IntegerLattice:
+        """Wrap sparse rows of a square basis without densifying them."""
+        lat = object.__new__(cls)
+        object.__setattr__(lat, "rows", rows)
+        return lat
 
     @property
     def n(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    def dense_rows(self):
+        """The basis rows as dense lists, one at a time."""
+        for row in self.rows:
+            dense = [0] * self.n
+            for j, x in row:
+                dense[j] = x
+            yield dense
+
+    @property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(r) for r in self.dense_rows())
+
+    def is_lower_triangular(self) -> bool:
+        return all(not row or row[-1][0] <= i for i, row in enumerate(self.rows))
+
+    def is_hnf(self) -> bool:
+        pivots = []
+        for i, row in enumerate(self.rows):
+            if not row or row[-1][0] != i or row[-1][1] <= 0:
+                return False
+            if any(not 0 <= x < pivots[j] for j, x in row[:-1]):
+                return False
+            pivots.append(row[-1][1])
+        return True
 
     def hnf(self) -> IntegerLattice:
         """The same lattice with its canonical lower-triangular HNF basis."""
-        return IntegerLattice(tuple(tuple(r) for r in hnf_lower([list(r) for r in self.basis])))
+        if self.is_hnf():
+            return self
+        return IntegerLattice(hnf_lower([list(r) for r in self.basis]))
 
     def contains(self, vector) -> bool:
         vec = [int(x) for x in vector]
         if len(vec) != self.n:
             raise ValueError("vector dimension mismatch")
-        hnf = [list(r) for r in hnf_lower([list(r) for r in self.basis])]
-        return all(x == 0 for x in reduce_mod_lattice(hnf, vec))
+        return not reduce_mod_lattice(self.hnf().rows, {j: x for j, x in enumerate(vec) if x})
 
 
 def lattice_from_splitting(sp: Splitting) -> IntegerLattice:
     """Kernel of x -> sum x_i s_i as an HNF-basis lattice.
 
-    Cyclic groups whose first splitter is invertible admit a closed-form
-    basis that is already in HNF (diagonal (q, 1, ..., 1)); otherwise the
-    kernel is solved generically as the left kernel of the stacked
-    (n+k) x k integer system whose top block holds the splitter columns
-    and whose bottom block is the negated diagonal of cyclic orders
-    (projecting kernel rows onto the first n coordinates is an
-    isomorphism onto the lattice).
+    The sparse HNF comes straight from the group arithmetic
+    (`intlinalg.kernel_hnf`).  For a cyclic group whose first splitter is
+    invertible it is the closed form with diagonal (q, 1, ..., 1) and one
+    nonzero column; (Z_v)^k whose first k splitters generate has k.
     """
-    orders = sp.group.orders
-    k = len(orders)
-    n = sp.n
-    if k == 1:
-        q = orders[0]
-        s0 = sp.splitters[0][0]
-        if gcd(s0, q) == 1:
-            inv = pow(s0, -1, q)
-            rows = [[0] * n for _ in range(n)]
-            rows[0][0] = q
-            for i in range(1, n):
-                rows[i][0] = (-sp.splitters[i][0] * inv) % q
-                rows[i][i] = 1
-            return IntegerLattice(tuple(tuple(r) for r in rows))
-    return _kernel_lattice_general(sp)
+    return IntegerLattice.from_rows(tuple(kernel_hnf(sp.splitters, sp.group.orders)))
 
 
 def _kernel_lattice_general(sp: Splitting) -> IntegerLattice:
+    """Dense reference for `lattice_from_splitting`: the left kernel of the
+    stacked (n+k) x k integer system whose top block holds the splitter
+    columns and whose bottom block is the negated diagonal of cyclic
+    orders (projecting kernel rows onto the first n coordinates is an
+    isomorphism onto the lattice), brought into HNF."""
     orders = sp.group.orders
     k = len(orders)
     n = sp.n
@@ -89,13 +118,19 @@ def _kernel_lattice_general(sp: Splitting) -> IntegerLattice:
     basis = [row[:n] for row in kernel]
     if len(basis) != n:
         raise RuntimeError(f"kernel rank {len(basis)} != {n}")
-    return IntegerLattice(tuple(tuple(r) for r in hnf_lower(basis)))
+    return IntegerLattice(hnf_lower(basis))
 
 
 def determinant(lat: IntegerLattice) -> int:
-    """|det| of the basis by exact Bareiss elimination; the volume of a
-    fundamental region."""
-    d = bareiss_det([list(r) for r in lat.basis])
+    """|det| of the basis; the volume of a fundamental region.
+
+    A lower-triangular basis, such as every kernel lattice, gives the
+    product of its diagonal in O(n); any other basis goes through exact
+    Bareiss elimination."""
+    if lat.is_lower_triangular():
+        d = prod(row[-1][1] if row and row[-1][0] == i else 0 for i, row in enumerate(lat.rows))
+    else:
+        d = bareiss_det([list(r) for r in lat.basis])
     if d == 0:
         raise ValueError("lattice basis is singular")
     return abs(d)
@@ -107,11 +142,12 @@ def generated_index(sp: Splitting) -> int:
     return sp.group.order // determinant(lattice_from_splitting(sp))
 
 
-def packing_density(lat: IntegerLattice, shape: QuasiCrossShape) -> Fraction:
+def packing_density(lat: IntegerLattice, shape: QuasiCrossShape, det: int | None = None) -> Fraction:
     """Cross volume over fundamental-region volume; 1 exactly for tilings.
 
-    A value above 1 proves the caller's packing claim false and raises."""
-    rho = Fraction(shape.volume, determinant(lat))
+    `det`, when the caller already has it, is `determinant(lat)`.  A
+    value above 1 proves the caller's packing claim false and raises."""
+    rho = Fraction(shape.volume, determinant(lat) if det is None else det)
     if rho > 1:
         raise ValueError(
             f"density {rho} > 1: the lattice cannot pack this quasi-cross"
@@ -141,14 +177,20 @@ class GeometricReport:
         return self.verdict != "overlap"
 
 
-def geometric_check(sp: Splitting) -> GeometricReport:
+def geometric_check(
+    sp: Splitting, lat: IntegerLattice | None = None, det: int | None = None
+) -> GeometricReport:
     """Decide packing/tiling geometrically, independent of product tables.
 
     Reduces every cell of the quasi-cross at the origin to its canonical
     coset representative modulo the lattice; the crosses at all lattice
     points are disjoint iff these representatives are pairwise distinct,
-    and tile iff additionally every coset is hit.  Guarded to cross
-    volumes <= 100000.
+    and tile iff additionally every coset is hit.  A cell is a sparse
+    vector m*e_i, so each reduction touches only the nonzero columns of
+    the HNF and the check costs O(volume * nonzeros per row).  Guarded to
+    cross volumes <= GEOMETRIC_CHECK_MAX_VOLUME.  `lat` and `det`, when
+    the caller already has them, are `lattice_from_splitting(sp)` and its
+    determinant.
 
     The verdict matches verify_packing/is_tiling whenever the splitters
     generate the group.  When they generate a proper subgroup the
@@ -161,19 +203,16 @@ def geometric_check(sp: Splitting) -> GeometricReport:
             f"cross volume {shape.volume} exceeds the geometric_check guard "
             f"({GEOMETRIC_CHECK_MAX_VOLUME})"
         )
-    lat = lattice_from_splitting(sp)
-    hnf = [list(r) for r in lat.basis]
-    det = 1
-    for i in range(lat.n):
-        det *= hnf[i][i]
-    n = sp.n
-    seen: dict[tuple[int, ...], tuple[int, int] | None] = {}
-    seen[reduce_mod_lattice(hnf, [0] * n)] = None
-    for i in range(n):
-        for m in sp.multipliers:
-            cell = [0] * n
-            cell[i] = m
-            rep = reduce_mod_lattice(hnf, cell)
+    if lat is None:
+        lat = lattice_from_splitting(sp)
+    if det is None:
+        det = determinant(lat)
+    hnf = lat.hnf().rows
+    multipliers = tuple(sp.multipliers)
+    seen: dict[SparseRow, tuple[int, int] | None] = {reduce_mod_lattice(hnf, {}): None}
+    for i in range(sp.n):
+        for m in multipliers:
+            rep = reduce_mod_lattice(hnf, {i: m})
             if rep in seen:
                 return GeometricReport("overlap", 0, (seen[rep], (i, m)))
             seen[rep] = (i, m)
@@ -185,15 +224,15 @@ def geometric_check(sp: Splitting) -> GeometricReport:
 
 
 def lattice_to_json(lat: IntegerLattice) -> str:
-    return json.dumps({"basis": [list(r) for r in lat.basis]})
+    """`{"basis": [[...], ...]}`, written one dense row at a time."""
+    return '{"basis": [' + ", ".join(json.dumps(row) for row in lat.dense_rows()) + "]}"
 
 
 def lattice_from_json(text: str) -> IntegerLattice:
     data = json.loads(text)
-    try:
-        return IntegerLattice(tuple(tuple(int(x) for x in row) for row in data["basis"]))
-    except KeyError as exc:
-        raise ValueError(f"lattice JSON is missing field {exc}") from exc
+    if not isinstance(data, dict) or not isinstance(data.get("basis"), list):
+        raise ValueError('lattice JSON must be an object with a "basis" list of rows')
+    return IntegerLattice([json_int_list(row, "each lattice basis row") for row in data["basis"]])
 
 
 # --- 2-D rendering -----------------------------------------------------------

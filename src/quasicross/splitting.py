@@ -325,14 +325,26 @@ def to_json(sp: Splitting) -> str:
     return json.dumps(to_json_dict(sp))
 
 
-def from_json_dict(data: dict) -> Splitting:
-    try:
-        group = FiniteAbelianGroup(tuple(data["orders"]))
-        mult = MultiplierSet(int(data["k_plus"]), int(data["k_minus"]))
-        splitters = tuple(tuple(int(x) for x in s) for s in data["splitters"])
-    except KeyError as exc:
-        raise ValueError(f"splitting JSON is missing field {exc}") from exc
-    return Splitting(group, mult, splitters)
+def json_int_list(value, what: str) -> tuple[int, ...]:
+    """A JSON list of integers, validated: floats and bools are rejected,
+    never truncated or coerced."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ValueError(f"{what} must be a list of integers")
+    return tuple(value)
+
+
+def from_json_dict(data) -> Splitting:
+    if not isinstance(data, dict):
+        raise ValueError("splitting JSON must be an object")
+    missing = [key for key in ("orders", "k_plus", "k_minus", "splitters") if key not in data]
+    if missing:
+        raise ValueError(f"splitting JSON is missing field {missing[0]!r}")
+    if not isinstance(data["splitters"], list):
+        raise ValueError("splitters must be a list of elements")
+    k_plus, k_minus = json_int_list([data["k_plus"], data["k_minus"]], "k_plus and k_minus")
+    group = FiniteAbelianGroup(json_int_list(data["orders"], "orders"))
+    splitters = tuple(json_int_list(s, "each splitter") for s in data["splitters"])
+    return Splitting(group, MultiplierSet(k_plus, k_minus), splitters)
 
 
 def from_json(text: str) -> Splitting:

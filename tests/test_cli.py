@@ -228,3 +228,60 @@ def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "/nonexistent/path.json")
     assert code == 2
     assert "error" in err
+
+
+MALFORMED_SPLITTINGS = {
+    "top_level_list": "[17, 3, 2]",
+    "orders_not_list": '{"orders": 17, "k_plus": 3, "k_minus": 2, "splitters": [[1], [13]]}',
+    "splitters_not_list": '{"orders": [17], "k_plus": 3, "k_minus": 2, "splitters": 5}',
+    "splitter_not_list": '{"orders": [17], "k_plus": 3, "k_minus": 2, "splitters": [1, 13]}',
+    "float_arm": '{"orders": [17], "k_plus": 3.7, "k_minus": 2, "splitters": [[1], [13]]}',
+    "bool_arm": '{"orders": [17], "k_plus": 3, "k_minus": true, "splitters": [[1], [13]]}',
+    "float_order": '{"orders": [17.0], "k_plus": 3, "k_minus": 2, "splitters": [[1], [13]]}',
+    "float_splitter": '{"orders": [17], "k_plus": 3, "k_minus": 2, "splitters": [[1], [13.5]]}',
+    "bool_splitter": '{"orders": [17], "k_plus": 3, "k_minus": 2, "splitters": [[true], [13]]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SPLITTINGS))
+def test_verify_malformed_splitting_exit_2(capsys, tmp_path, name):
+    path = tmp_path / "bad.json"
+    path.write_text(MALFORMED_SPLITTINGS[name], encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+MALFORMED_LATTICES = {
+    "top_level_list": "[[4, 1], [3, 5]]",
+    "basis_not_list": '{"basis": 5}',
+    "row_not_list": '{"basis": [4, [3, 5]]}',
+    "float_entry": '{"basis": [[4.5, 1], [3, 5]]}',
+    "bool_entry": '{"basis": [[4, true], [3, 5]]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_LATTICES))
+def test_plot_malformed_lattice_exit_2(capsys, tmp_path, name):
+    path = tmp_path / "lat.json"
+    path.write_text(MALFORMED_LATTICES[name], encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "plot", "--lattice", str(path), "--kplus", "3", "--kminus", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_verify_reports_skipped_geometric_check(capsys, monkeypatch, z17_json):
+    from quasicross import lattice
+
+    monkeypatch.setattr(lattice, "GEOMETRIC_CHECK_MAX_VOLUME", 10)
+    code, out, _ = run_cli(capsys, "verify", z17_json)
+    assert code == 0
+    assert out.splitlines()[-1] == "geometric check skipped: cross volume 11 exceeds 10"
+    assert not any(line.startswith("geometric check: ") for line in out.splitlines())
+    code, out, _ = run_cli(capsys, "verify", z17_json, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["geometric"] is None
