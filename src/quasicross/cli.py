@@ -80,7 +80,7 @@ def _cmd_verify(args) -> int:
             {"verdict": "not-a-packing", "collision": check.collision.describe()},
         )
         return EXIT_NEGATIVE
-    tiling = split_mod.is_tiling(sp)
+    tiling = sp.group.order == sp.shape.volume  # a packing tiles iff it fills G
     lat = lattice_mod.lattice_from_splitting(sp)
     det = lattice_mod.determinant(lat)
     density = lattice_mod.packing_density(lat, sp.shape, det)

@@ -2,11 +2,16 @@
 
 Codewords are integer vectors in [0, Q)^n whose image under the defining
 homomorphism is zero; Q is the cell-level count and must be a multiple
-of the group exponent.  A received word decodes by computing its
-syndrome and inverting the unique product representation m*s_i, which
-locates the single error coordinate and magnitude.  For tiling-based
-codes every nonzero syndrome is decodable (the code is perfect); plain
-packings may report an uncorrectable word instead.
+of the group exponent.  Codes need a group (Z_v)^k with equal cyclic
+orders, so the syndrome of a word x is k integer dot products,
+sum_i x_i * s_i[j] mod v for j < k, over splitter columns precomputed
+once per code.  The encoder fills the free coordinates with the
+information digits and solves the k pivot residues with the inverse of
+the pivot system mod v, also precomputed.  A received word decodes by
+computing its syndrome and inverting the unique product representation
+m*s_i, which locates the single error coordinate and magnitude.  For
+tiling-based codes every nonzero syndrome is decodable (the code is
+perfect); plain packings may report an uncorrectable word instead.
 
 Errors are applied over the integers (levels clamp physically, they do
 not wrap), which the syndrome never notices since it reduces through
@@ -15,18 +20,19 @@ the group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
+from operator import mul
 
 from .groups import Element
-from .splitting import Splitting, image, product_table, verify_packing
+from .splitting import Splitting, _scan_products
 
 
 class SyndromeTable:
     """Immutable-by-convention map from m*s_i to (coordinate i, magnitude m)."""
 
     def __init__(self, splitting: Splitting):
-        check = verify_packing(splitting)
+        check, products = _scan_products(splitting)
         if not check.ok:
             raise RuntimeError(
                 f"syndrome table over a non-packing: {check.collision.describe()}"
@@ -34,7 +40,7 @@ class SyndromeTable:
         index_of = {s: i for i, s in enumerate(splitting.splitters)}
         self.splitting = splitting
         self.entries: dict[Element, tuple[int, int]] = {
-            prod: (index_of[s], m) for prod, (m, s) in product_table(splitting).items()
+            prod: (index_of[s], m) for prod, (m, s) in products.items()
         }
 
     def lookup(self, syndrome: Element) -> tuple[int, int] | None:
@@ -48,11 +54,12 @@ def build_table(sp: Splitting) -> SyndromeTable:
     return SyndromeTable(sp)
 
 
-def _solve_mod(matrix: list[list[int]], rhs: list[int], mod: int) -> list[int] | None:
-    """Solve A x = b (mod m) by elimination with unit pivots; None when no
-    unit pivot is available (complete for prime-power moduli)."""
+def _inverse_mod(matrix: list[list[int]], mod: int) -> list[list[int]] | None:
+    """Inverse of a square matrix mod m by Gauss-Jordan elimination with
+    unit pivots; None when no unit pivot is available (complete for
+    prime-power moduli)."""
     k = len(matrix)
-    aug = [list(matrix[i]) + [rhs[i] % mod] for i in range(k)]
+    aug = [list(row) + [int(i == r) for i in range(k)] for r, row in enumerate(matrix)]
     perm = []
     for col in range(k):
         piv = next(
@@ -67,29 +74,44 @@ def _solve_mod(matrix: list[list[int]], rhs: list[int], mod: int) -> list[int] |
             if r != piv and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [(x - f * y) % mod for x, y in zip(aug[r], aug[piv])]
-    x = [0] * k
-    for col, piv in enumerate(perm):
-        x[col] = aug[piv][k]
-    return x
+    return [aug[piv][k:] for piv in perm]
 
 
 @dataclass(frozen=True)
 class CodeSpec:
     """A splitting plus the physical alphabet [0, levels) and the pivot
-    coordinates the encoder solves for."""
+    coordinates the encoder solves for.
+
+    Set-up precomputes the flat integer form the codec runs on: the k
+    splitter columns (entry i of column j is coordinate j of s_i), their
+    restriction to the free coordinates, and the inverse mod v of the
+    pivot system.  Raises ValueError when that system is not invertible."""
 
     splitting: Splitting
     levels: int
     pivots: tuple[int, ...]
+    free_coordinates: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    free_columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    pivot_inverse: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        sp, pivots = self.splitting, self.pivots
+        v = sp.group.orders[0]
+        pivot_set = set(pivots)
+        free = tuple(i for i in range(sp.n) if i not in pivot_set)
+        columns = tuple(zip(*sp.splitters))
+        inverse = _inverse_mod([[col[i] for i in pivots] for col in columns], v)
+        if inverse is None:
+            raise ValueError(f"pivot columns {pivots} are not invertible mod {v}")
+        object.__setattr__(self, "free_coordinates", free)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "free_columns", tuple(tuple(col[i] for i in free) for col in columns))
+        object.__setattr__(self, "pivot_inverse", tuple(map(tuple, inverse)))
 
     @property
     def n(self) -> int:
         return self.splitting.n
-
-    @property
-    def free_coordinates(self) -> tuple[int, ...]:
-        pivot_set = set(self.pivots)
-        return tuple(i for i in range(self.n) if i not in pivot_set)
 
     @property
     def quotient_levels(self) -> int:
@@ -118,9 +140,6 @@ def make_code(sp: Splitting, levels: int, pivots: tuple[int, ...] | None = None)
             raise ValueError(f"need {k} distinct pivot coordinates")
         if not all(0 <= i < sp.n for i in pivots):
             raise ValueError("pivot coordinate out of range")
-    matrix = [[sp.splitters[i][j] for i in pivots] for j in range(k)]
-    if _solve_mod(matrix, [0] * k, v) is None:
-        raise ValueError(f"pivot columns {pivots} are not invertible mod {v}")
     return CodeSpec(sp, levels, pivots)
 
 
@@ -151,9 +170,14 @@ def _auto_pivots(sp: Splitting, v: int, k: int) -> tuple[int, ...]:
 
 
 def syndrome(cs: CodeSpec, word) -> Element:
-    """Image of the received word in the group; zero exactly on lattice
-    points, independent of the alphabet wrap."""
-    return image(cs.splitting, word)
+    """Image of the received word in the group, one integer dot product
+    mod v per cyclic factor; zero exactly on lattice points, independent
+    of the alphabet wrap."""
+    word = list(word)
+    if len(word) != cs.n:
+        raise ValueError(f"word has length {len(word)}, code has n={cs.n}")
+    v = cs.splitting.group.orders[0]
+    return tuple(sum(map(mul, word, col)) % v for col in cs.columns)
 
 
 def encode(cs: CodeSpec, info, quotients=0) -> tuple[int, ...]:
@@ -164,14 +188,11 @@ def encode(cs: CodeSpec, info, quotients=0) -> tuple[int, ...]:
     pivot coordinate (a bare int is accepted when there is a single
     pivot).  Pivot residues are solved so the syndrome vanishes.
     """
-    sp = cs.splitting
-    g = sp.group
-    v = g.orders[0]
-    free = cs.free_coordinates
-    info = [int(x) for x in info]
-    if len(info) != len(free):
-        raise ValueError(f"info must have {len(free)} digits, got {len(info)}")
-    if any(not 0 <= x < cs.levels for x in info):
+    v = cs.splitting.group.orders[0]
+    info = list(map(int, info))
+    if len(info) != len(cs.free_coordinates):
+        raise ValueError(f"info must have {len(cs.free_coordinates)} digits, got {len(info)}")
+    if info and not 0 <= min(info) <= max(info) < cs.levels:
         raise ValueError(f"info digits must lie in [0, {cs.levels})")
     if isinstance(quotients, int):
         quotients = [quotients] * len(cs.pivots)
@@ -181,21 +202,13 @@ def encode(cs: CodeSpec, info, quotients=0) -> tuple[int, ...]:
     if any(not 0 <= t < cs.quotient_levels for t in quotients):
         raise ValueError(f"quotient digits must lie in [0, {cs.quotient_levels})")
 
-    word = [0] * cs.n
-    acc = g.zero
-    for i, x in zip(free, info):
-        word[i] = x
-        acc = g.add(acc, g.scalar_mul(x, sp.splitters[i]))
-    k = len(g.orders)
-    matrix = [[sp.splitters[i][j] for i in cs.pivots] for j in range(k)]
-    rhs = [(-acc[j]) % v for j in range(k)]
-    residues = _solve_mod(matrix, rhs, v)
-    if residues is None:
-        raise RuntimeError("pivot system lost invertibility")
-    for i, r, t in zip(cs.pivots, residues, quotients):
-        word[i] = r + v * t
+    rhs = [-sum(map(mul, info, col)) for col in cs.free_columns]
+    digits = [sum(map(mul, row, rhs)) % v + v * t for row, t in zip(cs.pivot_inverse, quotients)]
+    word = info
+    for i, x in sorted(zip(cs.pivots, digits)):  # ascending, so each lands at i
+        word.insert(i, x)
     out = tuple(word)
-    if syndrome(cs, out) != g.zero:
+    if any(syndrome(cs, out)):
         raise RuntimeError("encoder produced a word with nonzero syndrome")
     return out
 
@@ -224,9 +237,9 @@ def decode(cs: CodeSpec, word, table: SyndromeTable | None = None) -> Decoded:
     defect."""
     if table is None:
         table = build_table(cs.splitting)
-    word = [int(x) for x in word]
+    word = list(map(int, word))
     s = syndrome(cs, word)
-    if s == cs.splitting.group.zero:
+    if not any(s):
         return Decoded(tuple(word), None)
     hit = table.lookup(s)
     if hit is None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
 from math import gcd
@@ -236,6 +235,10 @@ def survey(
     log = open(progress_path, "a", encoding="utf-8") if progress_path else None
     try:
         if jobs > 1 and len(todo) > 1:
+            # imported here: the process-pool machinery costs every other
+            # user of the package about 2.5 MiB and 20 ms of import
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 computed = list(pool.map(_run_instance, todo, chunksize=8))
         else:

@@ -17,6 +17,7 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .groups import Element, FiniteAbelianGroup, cyclic_group, prime_factors
@@ -35,7 +36,7 @@ class MultiplierSet:
                 f"need 0 < k_minus < k_plus, got ({self.k_plus}, {self.k_minus})"
             )
 
-    @property
+    @cached_property
     def elements(self) -> tuple[int, ...]:
         return tuple(range(-self.k_minus, 0)) + tuple(range(1, self.k_plus + 1))
 
@@ -167,18 +168,6 @@ def make_cyclic_splitting(q: int, k_plus: int, k_minus: int, splitters) -> Split
     """Convenience constructor over Z_q with integer splitters."""
     g = cyclic_group(q)
     return Splitting(g, MultiplierSet(k_plus, k_minus), tuple((int(s),) for s in splitters))
-
-
-def product_table(sp: Splitting) -> dict[Element, tuple[int, Element]]:
-    """Map every product m*s to its (m, s) factorization.
-
-    Raises ValueError on a collision; use verify_packing for a witness
-    instead of an exception.
-    """
-    check, table = _scan_products(sp)
-    if not check.ok:
-        raise ValueError(f"not a packing: {check.collision.describe()}")
-    return table
 
 
 def _scan_products(sp: Splitting):

@@ -1,8 +1,14 @@
 """Cross-checks of the structured lattice paths against the dense ones and
 against the independent oracles: the diagonal-product determinant, the
-sparse kernel HNF, the sparse coset reduction and the geometric check."""
+sparse kernel HNF, the sparse coset reduction and the geometric check.
+Also the integer-column codec: its syndrome against `splitting.image`,
+its stored pivot inverse, and encode/decode round trips."""
 
 from __future__ import annotations
+
+import itertools
+import re
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,13 +21,19 @@ from quasicross import (
     Splitting,
     balance_family,
     cyclic_splitting,
+    decode,
     determinant,
+    encode,
     field_splitting,
     geometric_check,
+    image,
     lattice_from_splitting,
+    make_code,
     mixed_splitting,
+    syndrome,
     two_one_splitting,
 )
+from quasicross.codec import SyndromeTable
 from quasicross.intlinalg import bareiss_det, reduce_mod_lattice
 from quasicross.lattice import GEOMETRIC_CHECK_MAX_VOLUME, GeometricReport, _kernel_lattice_general
 
@@ -160,3 +172,127 @@ def test_geometric_check_overlap_matches_dense():
     report = geometric_check(sp)
     assert report.verdict == "overlap"
     assert report == dense_geometric_check(sp)
+
+
+# --- integer-column codec -------------------------------------------------
+
+TABLES = {sp: SyndromeTable(sp) for sp in CONSTRUCTIONS}
+construction_ids = st.sampled_from(range(len(CONSTRUCTIONS)))
+
+
+@st.composite
+def construction_codes(draw):
+    """A code on a constructed tiling with auto or random valid pivots."""
+    sp = CONSTRUCTIONS[draw(construction_ids)]
+    v, k = sp.group.orders[0], sp.group.rank
+    levels = v * draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return make_code(sp, levels)
+    pivots = tuple(draw(st.lists(st.integers(0, sp.n - 1), min_size=k, max_size=k, unique=True)))
+    try:
+        return make_code(sp, levels, pivots)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def equal_order_codes(draw):
+    """Random codes over (Z_v)^k, k >= 2: random nonzero splitters with
+    the unit vectors shuffled in, packings or not, auto pivots."""
+    v = draw(st.integers(2, 12))
+    k = draw(st.integers(2, 3))
+    group = FiniteAbelianGroup((v,) * k)
+    units = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    pool = [e for e in group.elements() if e != group.zero and e not in units]
+    others = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True))
+    splitters = draw(st.permutations(units + others))
+    k_plus = draw(st.integers(2, 4))
+    sp = Splitting(group, MultiplierSet(k_plus, draw(st.integers(1, k_plus - 1))), tuple(splitters))
+    try:
+        return make_code(sp, v * draw(st.integers(1, 3)))
+    except ValueError:  # no unit-pivot system for a composite v
+        assume(False)
+
+
+any_codes = st.one_of(construction_codes(), equal_order_codes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_codes, st.data())
+def test_syndrome_matches_image(cs, data):
+    # entries far outside [0, levels), negative ones included
+    word = data.draw(st.lists(st.integers(-3000, 3000), min_size=cs.n, max_size=cs.n))
+    assert syndrome(cs, word) == image(cs.splitting, word)
+    assert syndrome(cs, iter(word)) == image(cs.splitting, word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_codes)
+def test_pivot_inverse_is_an_inverse(cs):
+    v, k = cs.splitting.group.orders[0], len(cs.pivots)
+    a = [[cs.splitting.splitters[i][j] for i in cs.pivots] for j in range(k)]
+    product = [[sum(cs.pivot_inverse[r][t] * a[t][c] for t in range(k)) % v for c in range(k)] for r in range(k)]
+    assert product == [[int(r == c) for c in range(k)] for r in range(k)]
+    assert cs.free_coordinates == tuple(i for i in range(cs.n) if i not in cs.pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(construction_codes(), st.data())
+def test_round_trip_with_one_error(cs, data):
+    sp = cs.splitting
+    info = data.draw(st.lists(st.integers(0, cs.levels - 1), min_size=cs.n - len(cs.pivots),
+                              max_size=cs.n - len(cs.pivots)))
+    quotients = data.draw(st.lists(st.integers(0, cs.quotient_levels - 1), min_size=len(cs.pivots),
+                                   max_size=len(cs.pivots)))
+    codeword = encode(cs, info, quotients)
+    assert [codeword[i] for i in cs.free_coordinates] == info
+    assert all(0 <= x < cs.levels for x in codeword)
+    assert image(sp, codeword) == sp.group.zero
+    i = data.draw(st.integers(0, cs.n - 1))
+    m = data.draw(st.sampled_from(sp.multipliers.elements))
+    word = list(codeword)
+    word[i] += m
+    assert decode(cs, word, TABLES[sp]) == decode(cs, word)
+    result = decode(cs, word, TABLES[sp])
+    assert result.codeword == codeword
+    assert result.correction == (i, m)
+    assert decode(cs, codeword, TABLES[sp]).correction is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(construction_ids, st.data())
+def test_make_code_rejects_exactly_the_singular_pivot_systems(j, data):
+    # every construction has a prime-power v, where unit-pivot elimination
+    # is complete: the system is invertible iff its determinant is a unit
+    sp = CONSTRUCTIONS[j]
+    v, k = sp.group.orders[0], sp.group.rank
+    pivots = tuple(data.draw(st.lists(st.integers(0, sp.n - 1), min_size=k, max_size=k, unique=True)))
+    a = [[sp.splitters[i][r] for i in pivots] for r in range(k)]
+    if gcd(int(oracles.fraction_det(a)), v) == 1:
+        assert make_code(sp, v, pivots).pivots == pivots
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"pivot columns {pivots} are not invertible mod {v}")):
+            make_code(sp, v, pivots)
+
+
+def test_make_code_non_invertible_pivot_message():
+    sp = two_one_splitting(2)  # splitters 1, 3, 4, 5, 7 over Z_16
+    with pytest.raises(ValueError, match=r"^pivot columns \(2,\) are not invertible mod 16$"):
+        make_code(sp, 16, (2,))
+    sp = mixed_splitting(5, 1, 3, 1, 3)  # the 31 points of the projective plane over F_5
+    pivots = next(
+        p for p in itertools.combinations(range(sp.n), 3)
+        if oracles.fraction_det([[sp.splitters[i][r] for i in p] for r in range(3)]) % 5 == 0
+    )
+    with pytest.raises(ValueError, match=re.escape(f"pivot columns {pivots} are not invertible mod 5")):
+        make_code(sp, 5, pivots)
+
+
+@pytest.mark.parametrize("sp", CONSTRUCTIONS, ids=lambda sp: f"{sp.group}-n{sp.n}")
+def test_wrong_length_word_raises(sp):
+    cs = make_code(sp, sp.group.orders[0])
+    for n in (cs.n - 1, cs.n + 1):
+        with pytest.raises(ValueError, match="length"):
+            syndrome(cs, [0] * n)
+        with pytest.raises(ValueError, match="length"):
+            decode(cs, [0] * n, TABLES[sp])

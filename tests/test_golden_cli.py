@@ -1,7 +1,10 @@
 """Golden CLI bytes: the SHA-256 of stdout of `verify` (text and JSON) and
 `lattice` for every `construct` kind, plus `plot` of a non-triangular
-`--lattice` input.  The digests pin the exact output, so a change to how
-the kernel lattice is stored or reduced cannot alter what users see."""
+`--lattice` input, and of `encode` and `decode` (text and JSON; a
+corrected, a clean and an uncorrectable word) on a code of every kind.
+The digests pin the exact output, so a change to how the kernel lattice
+is stored or reduced, or to how the codec computes, cannot alter what
+users see."""
 
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ import io
 
 import pytest
 
-from quasicross import make_cyclic_splitting, to_json
+from quasicross import from_json, make_cyclic_splitting, to_json
 from quasicross.cli import main
 
 # (name, construct argv); orders up to Z_1024
@@ -81,13 +84,65 @@ GOLDEN = {
     ('z16_nonunit_first', 'verify'): "38286907430544becc970bd99164a7054328b63098035e9270685fdca8bbcda7",
     ('z16_nonunit_first', 'verify-json'): "3293f924362a249f3aecf9418af33ad2d1bcb995d3cb39aec43ea8b8372ea929",
     ('lattice_4_1_3_5', 'plot'): "a8e2f53a1fe471e900ead9356e95559ee79e5aba1155579897bdda1cc6d53298",
+    ('z17_packing', 'encode'): "88d13136336b43087e281101d26eab1d714b48e0ab32f4d55ea8d45f71112778",
+    ('z17_packing', 'decode-corrected'): "ad250555d7ab178bfb8da7fcc3d74f83efcce4fb60b39c12ec6f10a401a86bdf",
+    ('z17_packing', 'decode-corrected-json'): "f3d8ffc646e57497a33d5ad280d8462117b8c15c126672930706385f3a867586",
+    ('z17_packing', 'decode-clean'): "e1831b636c6e62176da926afce4a2766474b034812203572d07087b9d9656313",
+    ('z17_packing', 'decode-clean-json'): "d601204b0db93a3faef9058d0c81e1d289d284ff1164b0591f0de28571e7b718",
+    ('z25', 'encode'): "51f97e218df5ba6a6613a66d45c716c3aa073ee795be8b5b0541b7ac961cd42d",
+    ('z25', 'decode-corrected'): "70068f3256f7fd0b079342466b238ddd053cc41b90a5414fb28046795d00f06a",
+    ('z25', 'decode-corrected-json'): "7a5463907297c92348c02b7192538342c81869f93f944aaff7d6cf96a76c9c68",
+    ('z25', 'decode-clean'): "2af68b1284eb12a95d55e25db323de959361ecbab56a8060e8239c33bda28c6b",
+    ('z25', 'decode-clean-json'): "45af8b70269d62b9d2323150c50e4a7a73e3e51107abf5d84eba7995dfbc285a",
+    ('z343', 'encode'): "87d33364e212a7b09d850898d91d4115a3fe4a4d783010a2210b2e9115a83730",
+    ('z343', 'decode-corrected'): "055899abe4e42436bef3ee3f025384d2b12db5a428ae987aafbb8c13b0ef987a",
+    ('z343', 'decode-corrected-json'): "eddb589dfc62464ab6b7cc76c9ddaeaa92b2c1de08e1737d14a38eec36f13cb8",
+    ('z343', 'decode-clean'): "ed7235f2eda143869244bedf03b97cf713851f44d98d866dbb8216415287b991",
+    ('z343', 'decode-clean-json'): "ef49e8a6de08abb307f9bd16cb4f45703e239256a7b36875025dedfa71de12c2",
+    ('gf25', 'encode'): "2fc974bff89a0347410e4084192249b554a55b81eb969560a4e3d756384f064f",
+    ('gf25', 'decode-corrected'): "5112ddd8e3439f9408a7248a793115389d1b724825d9609215526eb7c59af175",
+    ('gf25', 'decode-corrected-json'): "23dfd14d3b5605607e708a37536fbf8b6a154afe454a063f34497edeb70d3035",
+    ('gf25', 'decode-clean'): "60a3cf05f638897e236f4fbbcbc536b5d6e614f1126d241ba362641fee42827e",
+    ('gf25', 'decode-clean-json'): "10c23c278cd690fc47e2562cc1de331410fedc804e276bb200ee528aee761288",
+    ('gf343', 'encode'): "b9645e0ac93d10836c6e9ac15ffdb5ce5e586ec5d1ca1b7bbdc3668ef4f474f2",
+    ('gf343', 'decode-corrected'): "4984bed486cdf0f0571e1ae8aa7678ca6fc0c383787c37d9cdb17693bbb54464",
+    ('gf343', 'decode-corrected-json'): "37fbfd04398a29f2e89015f81672eb0d21adfc6e0edc56bbb75ecb2ab2df4e57",
+    ('gf343', 'decode-clean'): "ac127231c1913f16ad72f87fc9175f804cfb5eadddb0b4b6e8b90921fd034405",
+    ('gf343', 'decode-clean-json'): "58bc16a7ae433e60ed10ebdcf8c2dbeef499c2adfb7c540204f4f5bd0a19bf31",
+    ('z16', 'encode'): "6e81245617807841525e3655077a1c273230b36204eb0cff04748d7d789217c9",
+    ('z16', 'decode-corrected'): "f89e9e4cb9bbabe5dbd152e4c04d220ae03b0b82ebc797e23eb67f29347bca63",
+    ('z16', 'decode-corrected-json'): "a5cf61ab8c0923984bd0d23000720c611877d6c32fefc520fd1c1a0d34d5abed",
+    ('z16', 'decode-clean'): "7a5af43e5f439fd407075f1544fcd31e7c13b5c23700e1222a4f25fa60df9026",
+    ('z16', 'decode-clean-json'): "680c34ca697f08a3ed5b35c3b1a5f059c31d9f4ab30a0a216eea32ddfc79f148",
+    ('z1024', 'encode'): "82d0ffa8bb6f63f38d1058d688e75ac1711b58af590e30017cc9ecbdcded47b6",
+    ('z1024', 'decode-corrected'): "f825bebe1aa77611dbf302b7b830cabfcf3da6b1ccf26a8db4f54d8620f179e2",
+    ('z1024', 'decode-corrected-json'): "e2d963cc4761cded7696ca80d2a7ad561457953e64ac57d42ae1dc384ed34abe",
+    ('z1024', 'decode-clean'): "06922f9807553e4fc7c68e0fc40729f4cc9c7fdae709d97888015a9e95b9ba13",
+    ('z1024', 'decode-clean-json'): "946f7858b12026f7eb3791eb31d628ec40be871379cce2417a1a9387bd6672de",
+    ('z5x2', 'encode'): "90f91dd3b7a4909bdb4652b7774468d9e97ddc68dcfd48bf20350fa1c43b6cbf",
+    ('z5x2', 'decode-corrected'): "4444dae9b92e45d6aadadaef5b919a72c240fab1d01d088d9ee3fd36128b4e3d",
+    ('z5x2', 'decode-corrected-json'): "6e0b8e19565923f54784245b5b87762a8fdeee852cc4253e60c3cb6d22eec839",
+    ('z5x2', 'decode-clean'): "d4a4459ba27c029cb336769d8fd35e989715004bc04be0dfadbb58b2dab26681",
+    ('z5x2', 'decode-clean-json'): "74f0e7b46a46b93936be67b8a3d593dda95e7aaa9a6fcec4d525c5f673ae00c3",
+    ('z25x2', 'encode'): "67dcee1c2d007e5c0a381914360e4fb930e7aaa570c467c91018e6539c293c84",
+    ('z25x2', 'decode-corrected'): "2ceb77128b0b934b36176a415b2ffcc11c0f882fe170de2890b037e96fa134ad",
+    ('z25x2', 'decode-corrected-json'): "3c35c2ca67118f66135fb425268850efe98d0e34ecbeee0e01f9c11175aaf1b7",
+    ('z25x2', 'decode-clean'): "b11deffd19dcdcf4165432c195d67ce57e14952d716840bcc6114ca83836e3bd",
+    ('z25x2', 'decode-clean-json'): "a52acbd70f1a82e42217fa8b2f86ca1c16174173531edfd895523836f96097cb",
+    ('beta2_3', 'encode'): "25d4f2a86deb5e2574bb3210b67bb24fcc4afb19f93a7b65a057daa874a9d18e",
+    ('beta2_3', 'decode-corrected'): "4543996526e074d57682e1d2fd7cf0c5426a8e6149f5a35a51d8a68838f52b3e",
+    ('beta2_3', 'decode-corrected-json'): "36fe80a2068e9842f6e5e120588b4ab49731ab91e43042aac3b9c8645b8cad5a",
+    ('beta2_3', 'decode-clean'): "eaaa3aba63455034d61c8940de0c76179e2a0b2e0b6821c45f04523b42bcc085",
+    ('beta2_3', 'decode-clean-json'): "27ee9a8f85b4ec913190d5bea47da59024daae088b62acda12d4acd73bc798fc",
+    ('z17_packing', 'decode-uncorrectable-text'): "193549a9740589dff04854b73163880e1b5e5fcefb0a2e32863b310aca34d8fe",
+    ('z17_packing', 'decode-uncorrectable-json'): "7d2ef13892387f7943923406a46f6ec81eae0c8f479196326c5653aa212b317c",
 }
 
 
-def _stdout(argv) -> str:
+def _stdout(argv, expect: int = 0) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-        assert main(list(argv)) == 0
+        assert main(list(argv)) == expect
     return buf.getvalue()
 
 
@@ -127,3 +182,61 @@ def test_golden_plot_non_triangular_lattice(tmp_path):
     path.write_text('{"basis": [[4, 1], [3, 5]]}', encoding="utf-8")
     out = _stdout(["plot", "--lattice", str(path), "--kplus", "3", "--kminus", "2", "--window", "6"])
     assert _digest(out) == GOLDEN[("lattice_4_1_3_5", "plot")]
+
+
+# (name, levels): levels above the group exponent exercise the pivot
+# quotient digits; beta2_3 has n = 1, so its information part is empty
+CODES = (
+    ("z17_packing", 34),
+    ("z25", 50),
+    ("z343", 343),
+    ("gf25", 10),
+    ("gf343", 7),
+    ("z16", 32),
+    ("z1024", 1024),
+    ("z5x2", 5),
+    ("z25x2", 25),
+    ("beta2_3", 22),
+)
+
+
+def codec_argvs(path: str, levels: int) -> dict[str, list[str]]:
+    """The `encode` argv of one code, and `decode` argvs of its codeword
+    sent clean and hit by -k_minus at the middle coordinate."""
+    with open(path, encoding="utf-8") as fh:
+        sp = from_json(fh.read())
+    k = sp.group.rank
+    info = [(i * i + 3 * i + 1) % levels for i in range(sp.n - k)]
+    quotients = [levels // sp.group.orders[0] - 1] * k
+    base = ["--code", path, "--levels", str(levels)]
+    encode = ["encode", *base, "--info", *map(str, info), "--t", *map(str, quotients)]
+    codeword = [int(x) for x in _stdout(encode).split()]
+    corrupted = list(codeword)
+    corrupted[sp.n // 2] -= sp.multipliers.k_minus
+    decode = ["decode", *base, "--word"]
+    as_json = ["--format", "json"]
+    return {
+        "encode": encode,
+        "decode-corrected": decode + [str(x) for x in corrupted],
+        "decode-corrected-json": decode + [str(x) for x in corrupted] + as_json,
+        "decode-clean": decode + [str(x) for x in codeword],
+        "decode-clean-json": decode + [str(x) for x in codeword] + as_json,
+    }
+
+
+CODEC_COMMANDS = ("encode", "decode-corrected", "decode-corrected-json", "decode-clean", "decode-clean-json")
+
+
+@pytest.mark.parametrize("name,levels", CODES, ids=[n for n, _ in CODES])
+@pytest.mark.parametrize("command", CODEC_COMMANDS)
+def test_golden_codec_bytes(splitting_files, name, levels, command):
+    out = _stdout(codec_argvs(splitting_files[name], levels)[command])
+    assert _digest(out) == GOLDEN[(name, command)]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_golden_decode_uncorrectable_on_packing(splitting_files, fmt):
+    # syndrome 6 of Z_17 is no product m*s of the packing {1, 13}
+    argv = ["decode", "--code", splitting_files["z17_packing"], "--levels", "17", "--word", "6", "0"]
+    out = _stdout(argv + ["--format", fmt], expect=1)
+    assert _digest(out) == GOLDEN[("z17_packing", f"decode-uncorrectable-{fmt}")]
