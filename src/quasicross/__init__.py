@@ -10,7 +10,7 @@ from .bounds import (
     max_positive_arm,
     negative_arm_bound,
 )
-from .codec import CodeSpec, Decoded, SyndromeTable, build_table, decode, encode, make_code, syndrome
+from .codec import CodeSpec, Decoded, SyndromeTable, decode, encode, make_code, syndrome
 from .constructions import (
     BalanceFamilyMember,
     balance_family,
@@ -20,7 +20,7 @@ from .constructions import (
     mixed_splitting,
     two_one_splitting,
 )
-from .groups import Element, FieldRep, FiniteAbelianGroup, build_field, cyclic_group, is_prime
+from .groups import Element, FiniteAbelianGroup, cyclic_group, is_prime
 from .lattice import (
     GeometricReport,
     IntegerLattice,
@@ -34,7 +34,15 @@ from .lattice import (
     period,
     render_2d,
 )
-from .search import SearchTimeout, SurveyRow, search_tilings, survey, survey_csv, survey_summary
+from .search import (
+    SearchTimeout,
+    SurveyRow,
+    search_tilings,
+    survey,
+    survey_csv,
+    survey_summary,
+    unit_orbit_canonical,
+)
 from .splitting import (
     Collision,
     MultiplierSet,
@@ -50,7 +58,6 @@ from .splitting import (
     make_cyclic_splitting,
     normalize,
     to_json,
-    unit_orbit_canonical,
     verify_packing,
 )
 

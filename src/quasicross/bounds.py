@@ -139,24 +139,29 @@ def _is_power_of(q: int, base: int) -> bool:
     return q == 1
 
 
+def _shape_rules(k_plus: int, k_minus: int, n: int) -> tuple[RuleCheck, ...]:
+    """The dimension and negative-arm rules at dimension n >= 2."""
+    shape = QuasiCrossShape(k_plus, k_minus, n)
+    dim = dimension_bound(shape)
+    arm = negative_arm_bound(shape)
+    return (
+        RuleCheck("dimension", dim.ruled_out, f"{dim.value} vs n = {n}"),
+        RuleCheck("negative-arm", arm.ruled_out, f"k_minus = {k_minus} vs n - 1 = {arm.limit}"),
+    )
+
+
+def shape_feasibility(k_plus: int, k_minus: int, n: int) -> FeasibilityReport:
+    """The shape bounds alone at dimension n >= 2 (q is reported as 0)."""
+    rules = _shape_rules(k_plus, k_minus, n)
+    return FeasibilityReport(k_plus, k_minus, 0, n, any(r.ruled_out for r in rules), rules)
+
+
 def instance_feasibility(k_plus: int, k_minus: int, q: int) -> FeasibilityReport:
     """All applicable rules for a survey instance: the group-order rules
     plus the shape bounds at n = (q-1)/(k_plus+k_minus) when n >= 2."""
     report = group_order_constraints(k_plus, k_minus, q)
-    rules = list(report.rules)
+    rules = report.rules
     if report.n is not None and report.n >= 2:
-        shape = QuasiCrossShape(k_plus, k_minus, report.n)
-        dim = dimension_bound(shape)
-        rules.append(
-            RuleCheck("dimension", dim.ruled_out, f"{dim.value} vs n = {shape.n}")
-        )
-        arm = negative_arm_bound(shape)
-        rules.append(
-            RuleCheck(
-                "negative-arm",
-                arm.ruled_out,
-                f"k_minus = {k_minus} vs n - 1 = {arm.limit}",
-            )
-        )
+        rules += _shape_rules(k_plus, k_minus, report.n)
     ruled_out = any(r.ruled_out for r in rules)
-    return FeasibilityReport(k_plus, k_minus, q, report.n, ruled_out, tuple(rules))
+    return FeasibilityReport(k_plus, k_minus, q, report.n, ruled_out, rules)

@@ -165,21 +165,10 @@ def _cmd_survey(args) -> int:
 def _cmd_bounds(args) -> int:
     if args.q is not None:
         report = bounds_mod.instance_feasibility(args.kplus, args.kminus, args.q)
+    elif args.n is not None:
+        report = bounds_mod.shape_feasibility(args.kplus, args.kminus, args.n)
     else:
-        if args.n is None:
-            raise ValueError("bounds needs --n (shape bounds) or --q (group rules)")
-        shape = split_mod.QuasiCrossShape(args.kplus, args.kminus, args.n)
-        dim = bounds_mod.dimension_bound(shape)
-        arm = bounds_mod.negative_arm_bound(shape)
-        rules = (
-            bounds_mod.RuleCheck("dimension", dim.ruled_out, f"{dim.value} vs n = {args.n}"),
-            bounds_mod.RuleCheck(
-                "negative-arm", arm.ruled_out, f"k_minus = {args.kminus} vs n - 1 = {arm.limit}"
-            ),
-        )
-        report = bounds_mod.FeasibilityReport(
-            args.kplus, args.kminus, 0, args.n, dim.ruled_out or arm.ruled_out, rules
-        )
+        raise ValueError("bounds needs --n (shape bounds) or --q (group rules)")
     if report.ruled_out:
         reasons = "; ".join(f"{r.name} ({r.detail})" for r in report.triggered())
         lines = [f"ruled out: {reasons}"]

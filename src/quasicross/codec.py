@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 from .groups import Element
 from .splitting import Splitting, _scan_products
@@ -50,31 +50,35 @@ class SyndromeTable:
         return len(self.entries)
 
 
-def build_table(sp: Splitting) -> SyndromeTable:
-    return SyndromeTable(sp)
-
-
-def _inverse_mod(matrix: list[list[int]], mod: int) -> list[list[int]] | None:
-    """Inverse of a square matrix mod m by Gauss-Jordan elimination with
-    unit pivots; None when no unit pivot is available (complete for
-    prime-power moduli)."""
-    k = len(matrix)
-    aug = [list(row) + [int(i == r) for i in range(k)] for r, row in enumerate(matrix)]
-    perm = []
-    for col in range(k):
-        piv = next(
-            (r for r in range(k) if r not in perm and gcd(aug[r][col], mod) == 1), None
-        )
-        if piv is None:
-            return None
-        perm.append(piv)
-        inv = pow(aug[piv][col], -1, mod)
-        aug[piv] = [(x * inv) % mod for x in aug[piv]]
-        for r in range(k):
-            if r != piv and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % mod for x, y in zip(aug[r], aug[piv])]
-    return [aug[piv][k:] for piv in perm]
+def _unit_pivots(splitters, candidates, v: int):
+    """Gauss-Jordan elimination mod v with unit pivots over the splitter
+    columns in `candidates`, taken in order: a column joins the pivots
+    when its reduced form has a unit entry in a row no earlier pivot
+    holds (the first such row becomes its pivot row); otherwise it is
+    skipped.  Stops at k pivots.  Returns the pivots and the inverse mod
+    v of their system (row c inverts pivot c), or None when fewer than k
+    columns qualify.  Complete for prime-power v: the result is then the
+    first k-subset, in candidate order, whose determinant is a unit."""
+    k = len(splitters[0])
+    # the accumulated row operations; it reduces each candidate column
+    ops = [[int(i == r) for i in range(k)] for r in range(k)]
+    pivots, rows = [], []
+    for i in candidates:
+        reduced = [sum(map(mul, row, splitters[i])) % v for row in ops]
+        r = next((r for r in range(k) if r not in rows and gcd(reduced[r], v) == 1), None)
+        if r is None:
+            continue
+        inv = pow(reduced[r], -1, v)
+        ops[r] = [(x * inv) % v for x in ops[r]]
+        for other in range(k):
+            f = reduced[other]
+            if other != r and f:
+                ops[other] = [(x - f * y) % v for x, y in zip(ops[other], ops[r])]
+        pivots.append(i)
+        rows.append(r)
+        if len(pivots) == k:
+            return tuple(pivots), [ops[r] for r in rows]
+    return None
 
 
 @dataclass(frozen=True)
@@ -101,9 +105,10 @@ class CodeSpec:
         pivot_set = set(pivots)
         free = tuple(i for i in range(sp.n) if i not in pivot_set)
         columns = tuple(zip(*sp.splitters))
-        inverse = _inverse_mod([[col[i] for i in pivots] for col in columns], v)
-        if inverse is None:
+        found = _unit_pivots(sp.splitters, pivots, v)
+        if found is None:
             raise ValueError(f"pivot columns {pivots} are not invertible mod {v}")
+        inverse = found[1]
         object.__setattr__(self, "free_coordinates", free)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "free_columns", tuple(tuple(col[i] for i in free) for col in columns))
@@ -133,7 +138,10 @@ def make_code(sp: Splitting, levels: int, pivots: tuple[int, ...] | None = None)
         raise ValueError(f"levels must be a positive multiple of {v}, got {levels}")
     k = len(sp.group.orders)
     if pivots is None:
-        pivots = _auto_pivots(sp, v, k)
+        found = _unit_pivots(sp.splitters, range(sp.n), v)
+        if found is None:
+            raise ValueError("no invertible pivot system found among the splitter columns")
+        pivots = found[0]
     else:
         pivots = tuple(int(i) for i in pivots)
         if len(pivots) != k or len(set(pivots)) != k:
@@ -143,30 +151,13 @@ def make_code(sp: Splitting, levels: int, pivots: tuple[int, ...] | None = None)
     return CodeSpec(sp, levels, pivots)
 
 
-def _auto_pivots(sp: Splitting, v: int, k: int) -> tuple[int, ...]:
-    chosen: list[int] = []
-    rows_used: list[int] = []
-    # residual elimination state over the chosen columns
-    state: list[list[int]] = []
-    for i in range(sp.n):
-        col = [sp.splitters[i][j] for j in range(k)]
-        work = list(col)
-        for (r, vec) in zip(rows_used, state):
-            f = work[r]
-            if f:
-                work = [(x - f * y) % v for x, y in zip(work, vec)]
-        piv_row = next(
-            (r for r in range(k) if r not in rows_used and gcd(work[r], v) == 1), None
-        )
-        if piv_row is None:
-            continue
-        inv = pow(work[piv_row], -1, v)
-        state.append([(x * inv) % v for x in work])
-        rows_used.append(piv_row)
-        chosen.append(i)
-        if len(chosen) == k:
-            return tuple(chosen)
-    raise ValueError("no invertible pivot system found among the splitter columns")
+def _integers(values, what: str) -> list[int]:
+    """`values` as a list of ints; a float or any other non-integer
+    raises ValueError where int() would silently truncate it."""
+    try:
+        return list(map(index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
 
 
 def syndrome(cs: CodeSpec, word) -> Element:
@@ -186,17 +177,19 @@ def encode(cs: CodeSpec, info, quotients=0) -> tuple[int, ...]:
     `info` fills the non-pivot coordinates (digits in [0, levels)), in
     coordinate order; `quotients` gives one digit in [0, levels/q) per
     pivot coordinate (a bare int is accepted when there is a single
-    pivot).  Pivot residues are solved so the syndrome vanishes.
+    pivot).  Pivot residues are solved so the syndrome vanishes.  Every
+    digit must be an integer: a float raises ValueError, never truncated.
     """
     v = cs.splitting.group.orders[0]
-    info = list(map(int, info))
+    info = _integers(info, "info digits")
     if len(info) != len(cs.free_coordinates):
         raise ValueError(f"info must have {len(cs.free_coordinates)} digits, got {len(info)}")
     if info and not 0 <= min(info) <= max(info) < cs.levels:
         raise ValueError(f"info digits must lie in [0, {cs.levels})")
-    if isinstance(quotients, int):
-        quotients = [quotients] * len(cs.pivots)
-    quotients = [int(t) for t in quotients]
+    try:
+        quotients = [index(quotients)] * len(cs.pivots)
+    except TypeError:
+        quotients = _integers(quotients, "quotient digits")
     if len(quotients) != len(cs.pivots):
         raise ValueError(f"need {len(cs.pivots)} quotient digits")
     if any(not 0 <= t < cs.quotient_levels for t in quotients):
@@ -234,10 +227,10 @@ def decode(cs: CodeSpec, word, table: SyndromeTable | None = None) -> Decoded:
     exactly c with correction (i, m).  Out-of-range coordinates are
     accepted.  More than one error decodes to some wrong codeword
     without detection (the code is perfect); that is inherent, not a
-    defect."""
+    defect.  Entries must be integers: a float raises ValueError."""
+    word = _integers(word, "word entries")
     if table is None:
-        table = build_table(cs.splitting)
-    word = list(map(int, word))
+        table = SyndromeTable(cs.splitting)
     s = syndrome(cs, word)
     if not any(s):
         return Decoded(tuple(word), None)

@@ -3,7 +3,8 @@
 Three families plus two combinators:
 
 * cyclic_splitting   — recursive splitting of Z_{p^l} when k_plus + k_minus = p - 1
-* field_splitting    — splitting of the additive group of GF(p^l), same arm sums
+* field_splitting    — splitting of the additive group (Z_p)^l of GF(p^l), same
+                       arm sums: the matrix extension of S = {1} in Z_p
 * two_one_splitting  — splitting of Z_{4^l} for arms (2, 1)
 * matrix_extension   — lift a splitting of Z_v to Z_v^k (multipliers must be
                        coprime to v; this is exactly what fails over Z_4)
@@ -12,9 +13,10 @@ Three families plus two combinators:
                        for primes p = 1 (mod a+b); yields arbitrarily large
                        dimensions at a fixed ratio
 
-Every constructor re-verifies its output (packing and perfectness) before
-returning; a construction that fails its own verification is an internal
-fault, not a user error.
+Every constructor re-verifies its output with one scan of the product
+table, which decides both the packing and, by the counting condition,
+perfectness; a construction that fails its own verification is an
+internal fault, not a user error.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .groups import FiniteAbelianGroup, build_field, is_prime
+from .groups import Element, FiniteAbelianGroup, is_prime
 from .splitting import (
     MultiplierSet,
     Splitting,
@@ -38,8 +40,7 @@ _PRIME_SCAN_CAP = 10_000_000
 def _check_arms(p: int, k_plus: int, k_minus: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if not 0 < k_minus < k_plus:
-        raise ValueError(f"need 0 < k_minus < k_plus, got ({k_plus}, {k_minus})")
+    MultiplierSet(k_plus, k_minus)
     if k_plus + k_minus != p - 1:
         raise ValueError(
             f"k_plus + k_minus must equal p - 1, got {k_plus}+{k_minus} != {p}-1"
@@ -52,7 +53,8 @@ def _verified(sp: Splitting, expect_tiling: bool) -> Splitting:
         raise RuntimeError(
             f"construction produced a non-packing: {check.collision.describe()}"
         )
-    if expect_tiling and not is_tiling(sp):
+    # a packing tiles iff its crosses fill the group
+    if expect_tiling and sp.group.order != sp.shape.volume:
         raise RuntimeError("construction produced a packing that is not a tiling")
     return sp
 
@@ -78,25 +80,16 @@ def cyclic_splitting(p: int, ell: int, k_plus: int, k_minus: int) -> Splitting:
 
 
 def field_splitting(p: int, ell: int, k_plus: int, k_minus: int) -> Splitting:
-    """Splitter set tiling the additive group of GF(p^l): the evaluations
-    of all monic polynomials of degree < l at a primitive element.
-
-    In coordinates (descending powers of the generator) these are exactly
-    the vectors whose topmost nonzero entry is 1.  Output sorted
-    lexicographically.
-    """
+    """Splitter set tiling the additive group (Z_p)^l of GF(p^l): the
+    matrix extension of the trivial splitting S = {1} of Z_p, i.e. every
+    vector whose topmost nonzero entry is 1.  Output sorted
+    lexicographically.  The base {1} tiles Z_p by counting, so only the
+    lift is scanned."""
     _check_arms(p, k_plus, k_minus)
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    field = build_field(p, ell)
-    group = field.additive_group
-    splitters = []
-    for pivot in range(ell):
-        for lower in itertools.product(range(p), repeat=ell - 1 - pivot):
-            splitters.append((0,) * pivot + (1,) + lower)
-    splitters.sort()
-    assert len(splitters) == (p**ell - 1) // (p - 1)
-    sp = Splitting(group, MultiplierSet(k_plus, k_minus), tuple(splitters))
+    columns = sorted(_lifted_columns((1,), p, ell))
+    sp = Splitting(FiniteAbelianGroup((p,) * ell), MultiplierSet(k_plus, k_minus), tuple(columns))
     return _verified(sp, expect_tiling=True)
 
 
@@ -122,6 +115,17 @@ def two_one_splitting(ell: int) -> Splitting:
     return _verified(sp, expect_tiling=True)
 
 
+def _lifted_columns(values, v: int, k: int) -> list[Element]:
+    """Columns of Z_v^k whose topmost nonzero entry is one of `values`,
+    ordered by (pivot position, order in `values`, lower entries)."""
+    return [
+        (0,) * pivot + (s,) + lower
+        for pivot in range(k)
+        for s in values
+        for lower in itertools.product(range(v), repeat=k - 1 - pivot)
+    ]
+
+
 def matrix_extension(base: Splitting, k: int) -> Splitting:
     """Lift a splitting of Z_v to Z_v^k: the new splitter set consists of
     all columns whose topmost nonzero entry comes from the base splitter
@@ -129,8 +133,9 @@ def matrix_extension(base: Splitting, k: int) -> Splitting:
 
     Requires every multiplier coprime to v (otherwise two columns can
     collide under a non-unit multiplier and the lift is not even a
-    packing).  Columns are ordered by (pivot position, base splitter
-    order, lower entries).  A tiling base lifts to a tiling.
+    packing) and a base that is a packing.  Columns are ordered by
+    (pivot position, base splitter order, lower entries).  The lift
+    tiles exactly when the base does.
     """
     if not base.group.is_cyclic_form:
         raise ValueError("matrix_extension needs a base splitting of a cyclic group")
@@ -145,15 +150,8 @@ def matrix_extension(base: Splitting, k: int) -> Splitting:
             )
     if k == 1:
         return base
-    columns = []
-    for pivot in range(k):
-        for s in base.splitter_values():
-            for lower in itertools.product(range(v), repeat=k - 1 - pivot):
-                columns.append((0,) * pivot + (s,) + lower)
-    group = FiniteAbelianGroup((v,) * k)
-    n_base = base.n
-    assert len(columns) == n_base * (v**k - 1) // (v - 1)
-    sp = Splitting(group, base.multipliers, tuple(columns))
+    columns = _lifted_columns(base.splitter_values(), v, k)
+    sp = Splitting(FiniteAbelianGroup((v,) * k), base.multipliers, tuple(columns))
     return _verified(sp, expect_tiling=is_tiling(base))
 
 

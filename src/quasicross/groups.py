@@ -1,11 +1,8 @@
 """Finite abelian groups as direct products of cyclic groups.
 
 Elements are plain tuples of residues, one per cyclic factor, always
-reduced into range.  The module also builds the additive group of
-GF(p^l) together with a deterministic choice of field modulus whose
-residue class of x is a primitive element; vectors over that group list
-coefficients from the highest power of the generator down to the
-constant term, so "leading entry" means the topmost coordinate.
+reduced into range.  The additive group of GF(p^l) is (Z_p)^l; no field
+multiplication is needed anywhere, so none is built.
 
 All arithmetic is exact; nothing here silently wraps around.
 """
@@ -102,9 +99,6 @@ class FiniteAbelianGroup:
             raise ValueError("element dimension mismatch")
         return tuple((x + y) % d for x, y, d in zip(a, b, self.orders))
 
-    def neg(self, a: Element) -> Element:
-        return tuple((-x) % d for x, d in zip(a, self.orders))
-
     def scalar_mul(self, m: int, s: Element) -> Element:
         """m*s for any integer m, negative included."""
         if len(s) != len(self.orders):
@@ -127,133 +121,3 @@ class FiniteAbelianGroup:
 
 def cyclic_group(q: int) -> FiniteAbelianGroup:
     return FiniteAbelianGroup((q,))
-
-
-# --- polynomial helpers over Z_p, coefficients ascending, trimmed ---------
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_rem(out, f, p)
-
-
-def _poly_rem(a: list[int], f: list[int], p: int) -> list[int]:
-    # f monic; long division remainder
-    a = list(a)
-    df = len(f) - 1
-    for i in range(len(a) - 1, df - 1, -1):
-        c = a[i] % p
-        if c:
-            for j in range(df + 1):
-                a[i - df + j] = (a[i - df + j] - c * f[j]) % p
-    del a[df:]
-    return _poly_trim(a)
-
-
-def _poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    acc = _poly_rem(list(base), f, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, acc, f, p)
-        acc = _poly_mulmod(acc, acc, f, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        inv = pow(b[-1], -1, p)
-        monic_b = [(c * inv) % p for c in b]
-        a, b = b, _poly_rem(a, monic_b, p)
-    return a
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """f monic of degree l: irreducible iff it shares no factor with
-    x^(p^d) - x for d = 1..l//2 (any proper factor has degree <= l//2)."""
-    deg = len(f) - 1
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        xp = _poly_powmod([0, 1], p**d, f, p)
-        diff = list(xp)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        if len(_poly_gcd(f, _poly_trim(diff), p)) > 1:
-            return False
-    return True
-
-
-def _x_is_primitive(f: list[int], p: int) -> bool:
-    """True iff the residue of x modulo monic irreducible f generates the
-    multiplicative group of GF(p^deg f)."""
-    deg = len(f) - 1
-    if f[0] == 0:  # x divides f, the residue of x is not even a unit
-        return False
-    group_size = p**deg - 1
-    if group_size == 1:
-        return True
-    for r in prime_factors(group_size):
-        if _poly_powmod([0, 1], group_size // r, f, p) == [1]:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class FieldRep:
-    """GF(p^l) presented as Z_p[x] modulo a monic irreducible polynomial
-    whose residue class of x is primitive.
-
-    `modulus` lists coefficients ascending (constant term first); the
-    leading coefficient is 1.
-    """
-
-    p: int
-    ell: int
-    modulus: tuple[int, ...]
-    alpha_is_x: bool = True
-
-    @property
-    def size(self) -> int:
-        return self.p**self.ell
-
-    @property
-    def additive_group(self) -> FiniteAbelianGroup:
-        return FiniteAbelianGroup((self.p,) * self.ell)
-
-
-def build_field(p: int, ell: int) -> FieldRep:
-    """Construct GF(p^l) deterministically.
-
-    Scans monic degree-l candidates in increasing order of their lower
-    coefficients read as a base-p integer (constant term least
-    significant) and picks the first irreducible one whose residue of x
-    is primitive.  Identical (p, l) always yields an identical modulus.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if ell < 1:
-        raise ValueError("degree must be >= 1")
-    for code in range(p**ell):
-        coeffs = []
-        c = code
-        for _ in range(ell):
-            coeffs.append(c % p)
-            c //= p
-        f = coeffs + [1]
-        if _is_irreducible(f, p) and _x_is_primitive(f, p):
-            return FieldRep(p=p, ell=ell, modulus=tuple(f))
-    raise RuntimeError(f"no primitive modulus found for GF({p}^{ell})")

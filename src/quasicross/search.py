@@ -24,7 +24,6 @@ from .bounds import instance_feasibility
 from .splitting import (
     MultiplierSet,
     Splitting,
-    is_tiling,
     make_cyclic_splitting,
     verify_packing,
 )
@@ -63,6 +62,18 @@ def _orbit_min(q: int, values: tuple[int, ...]) -> tuple[int, ...]:
         if best is None or cand < best:
             best = cand
     return best
+
+
+def unit_orbit_canonical(sp: Splitting) -> Splitting:
+    """Canonical representative of a cyclic splitting under unit scaling:
+    the lexicographically smallest sorted splitter tuple over all unit
+    multiples.  Two splittings are unit-equivalent iff their canonical
+    forms coincide."""
+    if not sp.group.is_cyclic_form:
+        raise ValueError("unit_orbit_canonical is defined for cyclic groups only")
+    q = sp.group.orders[0]
+    best = _orbit_min(q, sp.splitter_values())
+    return make_cyclic_splitting(q, sp.multipliers.k_plus, sp.multipliers.k_minus, best)
 
 
 def search_tilings(
@@ -123,7 +134,8 @@ def search_tilings(
     out = []
     for values in canonical:
         sp = make_cyclic_splitting(q, k_plus, k_minus, values)
-        if not verify_packing(sp).ok or not is_tiling(sp):
+        # one scan; a packing of Z_q tiles iff its crosses fill Z_q
+        if not verify_packing(sp).ok or q != sp.shape.volume:
             raise RuntimeError(f"search returned an invalid splitting {values} over Z_{q}")
         out.append(sp)
     return out

@@ -46,9 +46,6 @@ class MultiplierSet:
     def __len__(self) -> int:
         return self.k_plus + self.k_minus
 
-    def __contains__(self, m: int) -> bool:
-        return -self.k_minus <= m <= self.k_plus and m != 0
-
     def count_divisible_by(self, p: int) -> int:
         """How many multipliers the prime p divides."""
         return self.k_plus // p + self.k_minus // p
@@ -64,10 +61,7 @@ class QuasiCrossShape:
     n: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.k_minus < self.k_plus:
-            raise ValueError(
-                f"need 0 < k_minus < k_plus, got ({self.k_plus}, {self.k_minus})"
-            )
+        MultiplierSet(self.k_plus, self.k_minus)
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
 
@@ -262,25 +256,6 @@ def normalize(sp: Splitting) -> Splitting:
     inv = pow(unit, -1, q)
     scaled = sorted((s * inv) % q for s in values)
     return make_cyclic_splitting(q, sp.multipliers.k_plus, sp.multipliers.k_minus, scaled)
-
-
-def unit_orbit_canonical(sp: Splitting) -> Splitting:
-    """Canonical representative of a cyclic splitting under unit scaling:
-    the lexicographically smallest sorted splitter tuple over all unit
-    multiples.  Two splittings are unit-equivalent iff their canonical
-    forms coincide."""
-    if not sp.group.is_cyclic_form:
-        raise ValueError("unit_orbit_canonical is defined for cyclic groups only")
-    q = sp.group.orders[0]
-    values = sp.splitter_values()
-    best = None
-    for u in range(1, q):
-        if gcd(u, q) != 1:
-            continue
-        cand = tuple(sorted((u * s) % q for s in values))
-        if best is None or cand < best:
-            best = cand
-    return make_cyclic_splitting(q, sp.multipliers.k_plus, sp.multipliers.k_minus, best)
 
 
 def image(sp: Splitting, vector) -> Element:

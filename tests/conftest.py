@@ -1,8 +1,11 @@
-"""Shared pytest wiring: one pass/fail line per acceptance criterion."""
+"""Shared pytest wiring: one pass/fail line per acceptance criterion, and
+a fixture that records every product-table scan."""
 
 from __future__ import annotations
 
 import pytest
+
+from quasicross import splitting as splitting_mod
 
 _ACCEPTANCE_RESULTS: list[tuple[str, str]] = []
 
@@ -24,3 +27,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for name, outcome in _ACCEPTANCE_RESULTS:
         status = "PASS" if outcome == "passed" else "FAIL"
         terminalreporter.write_line(f"{status}  {name}")
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Every splitting whose product table is scanned, in order."""
+    seen = []
+    scan = splitting_mod._scan_products
+
+    def counting(sp):
+        seen.append(sp)
+        return scan(sp)
+
+    monkeypatch.setattr(splitting_mod, "_scan_products", counting)
+    return seen

@@ -8,7 +8,8 @@ the package under test, so agreement is meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations
+from math import gcd
 
 
 def multiplier_list(k_plus: int, k_minus: int) -> list[int]:
@@ -96,56 +97,14 @@ def in_row_lattice(basis, vector) -> bool:
     return all(coeff.denominator == 1 for coeff in rhs)
 
 
-def poly_divides(p, divisor, f) -> bool:
-    """Whether `divisor` divides f over Z_p (coefficients ascending)."""
-    rem = list(f)
-    dd = len(divisor) - 1
-    lead_inv = pow(divisor[-1], -1, p)
-    while len(rem) - 1 >= dd and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dd:
-            break
-        c = (rem[-1] * lead_inv) % p
-        shift = len(rem) - 1 - dd
-        for i, coef in enumerate(divisor):
-            rem[shift + i] = (rem[shift + i] - c * coef) % p
-    return not any(rem)
-
-
-def brute_irreducible(p, f) -> bool:
-    """No monic divisor of degree 1..deg//2 (exhaustive scan)."""
-    deg = len(f) - 1
-    for d in range(1, deg // 2 + 1):
-        for lower in product(range(p), repeat=d):
-            divisor = list(lower) + [1]
-            if poly_divides(p, divisor, f):
-                return False
-    return True
-
-
-def brute_x_order(p, f) -> int:
-    """Multiplicative order of x modulo monic f, by iterating powers."""
-    deg = len(f) - 1
-
-    def mul_x(poly):
-        out = [0] + list(poly)
-        while len(out) - 1 >= deg:
-            c = out[-1]
-            if c:
-                for i, coef in enumerate(f):
-                    out[len(out) - 1 - deg + i] = (out[len(out) - 1 - deg + i] - c * coef) % p
-            out.pop()
-        return out
-
-    acc = [1] + [0] * (deg - 1) if deg > 1 else [1]
-    acc = mul_x(acc)  # x^1
-    one = [1] + [0] * (deg - 1) if deg > 1 else [1]
-    order = 1
-    cur = list(acc)
-    while cur != one:
-        cur = mul_x(cur)
-        order += 1
-        if order > p**deg:
-            raise ValueError("x is not invertible modulo f")
-    return order
+def first_unit_pivots(splitters, modulus):
+    """The lexicographically first k-subset of column indices whose k x k
+    system (row r holds coordinate r of each chosen splitter) has a
+    determinant that is a unit mod `modulus`, trying every subset in
+    order; None when no subset qualifies."""
+    k = len(splitters[0])
+    for subset in combinations(range(len(splitters)), k):
+        det = fraction_det([[splitters[i][r] for i in subset] for r in range(k)])
+        if gcd(int(det), modulus) == 1:
+            return subset
+    return None

@@ -12,7 +12,7 @@ from quasicross import (
     IntegerLattice,
     QuasiCrossShape,
     Singularity,
-    build_table,
+    SyndromeTable,
     check_singular_prime_bound,
     classify_singularity,
     cyclic_splitting,
@@ -167,7 +167,7 @@ def test_c5_survey_full_scale(full_survey):
 
 def test_c6_codec_perfectness_and_round_trip():
     sp = two_one_splitting(2)
-    table = build_table(sp)
+    table = SyndromeTable(sp)
     assert len(table) == 15
     cs = make_code(sp, 16)
 
@@ -188,7 +188,7 @@ def test_c6_codec_perfectness_and_round_trip():
 
     # exhaustive n = 1 code over Z_4
     n1 = make_cyclic_splitting(4, 2, 1, [1])
-    n1_table = build_table(n1)
+    n1_table = SyndromeTable(n1)
     for levels in (4, 8):
         cs1 = make_code(n1, levels)
         for t in range(levels // 4):

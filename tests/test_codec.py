@@ -8,7 +8,7 @@ from quasicross import (
     FiniteAbelianGroup,
     MultiplierSet,
     Splitting,
-    build_table,
+    SyndromeTable,
     decode,
     encode,
     field_splitting,
@@ -31,7 +31,7 @@ def z4_code(levels=4):
 
 
 def test_build_table_z17():
-    table = build_table(make_cyclic_splitting(17, 3, 2, [1, 13]))
+    table = SyndromeTable(make_cyclic_splitting(17, 3, 2, [1, 13]))
     assert len(table) == 10
     assert table.lookup((9,)) == (1, 2)  # 2 * 13 = 26 = 9 mod 17
     # oracle: same ten products
@@ -40,19 +40,19 @@ def test_build_table_z17():
 
 
 def test_build_table_z4():
-    table = build_table(make_cyclic_splitting(4, 2, 1, [1]))
+    table = SyndromeTable(make_cyclic_splitting(4, 2, 1, [1]))
     assert table.entries == {(1,): (0, 1), (2,): (0, 2), (3,): (0, -1)}
 
 
 def test_build_table_covers_tiling():
-    table = build_table(make_cyclic_splitting(16, 2, 1, [1, 3, 4, 5, 7]))
+    table = SyndromeTable(make_cyclic_splitting(16, 2, 1, [1, 3, 4, 5, 7]))
     assert len(table) == 15
     assert set(table.entries) == {(x,) for x in range(1, 16)}
 
 
 def test_build_table_rejects_non_packing():
     with pytest.raises(RuntimeError):
-        build_table(make_cyclic_splitting(17, 3, 2, [1, 2]))
+        SyndromeTable(make_cyclic_splitting(17, 3, 2, [1, 2]))
 
 
 def test_syndrome():
@@ -85,6 +85,37 @@ def test_encode_validates_ranges():
         encode(cs, [2], 1)  # quotient range is [0, 17/17)
     with pytest.raises(ValueError):
         encode(cs, [1, 2], 0)
+
+
+@pytest.mark.parametrize(
+    "info,quotients",
+    [([2.7], [0]), ([2.0], [0]), ([2], [0.9]), ([2], 0.0), (["2"], [0]), ([2], "0")],
+)
+def test_encode_rejects_non_integer_digits(info, quotients):
+    # int() used to truncate these: encode(cs, [2.7], [0.9]) gave (8, 2)
+    with pytest.raises(ValueError, match="must be integers"):
+        encode(z17_code(), info, quotients)
+
+
+@pytest.mark.parametrize("word", [[8.9, 2.2], [8.0, 2], [8, None], ["8", "2"]])
+def test_decode_rejects_non_integer_entries(word):
+    # int() used to truncate [8.9, 2.2] to the clean word (8, 2)
+    with pytest.raises(ValueError, match="word entries must be integers"):
+        decode(z17_code(), word)
+
+
+def test_codec_accepts_integer_like_digits():
+    class Digit:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    cs = z17_code()
+    assert encode(cs, [Digit(2)], Digit(0)) == (8, 2)
+    assert encode(cs, (x for x in [2]), [0]) == (8, 2)
+    assert decode(cs, [Digit(8), Digit(4)]).codeword == (8, 2)
 
 
 def test_decode_corrects_single_error():
@@ -129,7 +160,7 @@ def test_make_code_pivot_validation():
 def test_round_trip_all_single_errors_z16():
     sp = two_one_splitting(2)
     cs = make_code(sp, 16)
-    table = build_table(sp)
+    table = SyndromeTable(sp)
     count = 0
     for info in itertools.islice(itertools.product(range(16), repeat=4), 200):
         c = encode(cs, info, 0)
@@ -148,7 +179,7 @@ def test_round_trip_all_single_errors_z16():
 def test_round_trip_with_non_default_pivot():
     sp = make_cyclic_splitting(16, 2, 1, [1, 3, 4, 5, 7])
     cs = make_code(sp, 16, pivots=(1,))  # solve for the coordinate with splitter 3
-    table = build_table(sp)
+    table = SyndromeTable(sp)
     c = encode(cs, (6, 2, 8, 15), 0)
     assert c[0] == 6 and c[2:] == (2, 8, 15)
     assert syndrome(cs, c) == (0,)
@@ -173,7 +204,7 @@ def test_decode_translation_invariance():
     # decode(y + c') = decode(y) + c' for any codeword c'
     sp = two_one_splitting(2)
     cs = make_code(sp, 16)
-    table = build_table(sp)
+    table = SyndromeTable(sp)
     c1 = encode(cs, (3, 1, 4, 1), 0)
     c2 = encode(cs, (5, 9, 2, 6), 0)
     received = [x + 2 if i == 0 else x for i, x in enumerate(c1)]
@@ -191,7 +222,7 @@ def test_product_group_code():
     info = (2, 3, 0, 4)
     c = encode(cs, info, (0, 0))
     assert syndrome(cs, c) == (0, 0)
-    table = build_table(sp)
+    table = SyndromeTable(sp)
     for i in range(6):
         for m in (-1, 1, 2, 3):
             word = list(c)

@@ -17,6 +17,26 @@ from quasicross import (
 import oracles
 
 
+@pytest.mark.parametrize(
+    "build,expected",
+    [
+        (lambda: cyclic_splitting(5, 2, 3, 1), 1),
+        (lambda: cyclic_splitting(7, 3, 5, 1), 1),
+        (lambda: field_splitting(5, 3, 3, 1), 1),
+        (lambda: field_splitting(7, 1, 4, 2), 1),
+        (lambda: two_one_splitting(3), 1),
+        (lambda: balance_family(2, 3, 1).splitting, 1),
+        (lambda: mixed_splitting(5, 1, 3, 1, 3), 3),  # the base, is_tiling(base), the lift
+        (lambda: mixed_splitting(5, 2, 3, 1, 2), 3),
+    ],
+    ids=["cyclic", "cyclic-z343", "field", "field-l1", "two-one", "balance", "mixed", "mixed-z25"],
+)
+def test_each_construction_scans_its_products_once(scans, build, expected):
+    sp = build()
+    assert len(scans) == expected
+    assert scans[-1] is sp
+
+
 def test_cyclic_splitting_p5_l2():
     sp = cyclic_splitting(5, 2, 3, 1)
     assert sp.splitter_values() == (1, 5, 6, 11, 16, 21)

@@ -275,6 +275,31 @@ def test_make_code_rejects_exactly_the_singular_pivot_systems(j, data):
             make_code(sp, v, pivots)
 
 
+@st.composite
+def prime_power_splittings(draw):
+    """Random distinct splitters over (Z_{p^e})^k, packings or not."""
+    v = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27]))
+    k = draw(st.integers(1, 3))
+    group = FiniteAbelianGroup((v,) * k)
+    columns = st.tuples(*[st.integers(0, v - 1)] * k)
+    splitters = draw(st.lists(columns, min_size=1, max_size=8, unique=True))
+    return Splitting(group, MultiplierSet(2, 1), tuple(splitters))
+
+
+@settings(max_examples=400, deadline=None)
+@given(prime_power_splittings())
+def test_auto_pivots_are_the_first_unit_determinant_subset(sp):
+    v = sp.group.orders[0]
+    expected = oracles.first_unit_pivots(sp.splitters, v)
+    if expected is None:
+        with pytest.raises(ValueError, match="^no invertible pivot system found among the splitter columns$"):
+            make_code(sp, v)
+        return
+    auto = make_code(sp, v)
+    assert auto.pivots == expected
+    assert auto.pivot_inverse == make_code(sp, v, expected).pivot_inverse
+
+
 def test_make_code_non_invertible_pivot_message():
     sp = two_one_splitting(2)  # splitters 1, 3, 4, 5, 7 over Z_16
     with pytest.raises(ValueError, match=r"^pivot columns \(2,\) are not invertible mod 16$"):

@@ -1,9 +1,12 @@
-"""Golden CLI bytes: the SHA-256 of stdout of `verify` (text and JSON) and
-`lattice` for every `construct` kind, plus `plot` of a non-triangular
-`--lattice` input, and of `encode` and `decode` (text and JSON; a
-corrected, a clean and an uncorrectable word) on a code of every kind.
-The digests pin the exact output, so a change to how the kernel lattice
-is stored or reduced, or to how the codec computes, cannot alter what
+"""Golden CLI bytes: the SHA-256 of stdout of `construct` of every kind,
+of `verify` (text and JSON) and `lattice` on its output, plus `plot` of
+a non-triangular `--lattice` input, and of `encode` and `decode` (text
+and JSON; a corrected, a clean and an uncorrectable word) on a code of
+every kind; also of `bounds` (`--n` and `--q`, text and JSON, ruled-out
+and open), `search` (text, JSON, `--raw`, `--first`) and the unpruned
+survey CSV.  The digests pin the exact output, so a change to how the
+kernel lattice is stored or reduced, how the codec computes, or how a
+construction, rule or search result is assembled cannot alter what
 users see."""
 
 from __future__ import annotations
@@ -136,6 +139,36 @@ GOLDEN = {
     ('beta2_3', 'decode-clean-json'): "27ee9a8f85b4ec913190d5bea47da59024daae088b62acda12d4acd73bc798fc",
     ('z17_packing', 'decode-uncorrectable-text'): "193549a9740589dff04854b73163880e1b5e5fcefb0a2e32863b310aca34d8fe",
     ('z17_packing', 'decode-uncorrectable-json'): "7d2ef13892387f7943923406a46f6ec81eae0c8f479196326c5653aa212b317c",
+    ('z25', 'construct'): "c4f863986b27e72e9575414ae6fc563fe19f89a39140b4dd444aff92e1931522",
+    ('z343', 'construct'): "b1174b280145de6734e0633b63a0b440972b04e13cd40140daf80f5a0beaf286",
+    ('z625', 'construct'): "3dabc5b3dd11a27bd3e06787117c4b80a34416668f720f33473fd8627c95b865",
+    ('gf25', 'construct'): "3bfcb362ea39af3b0f96afe309ae7368dae93b404692ad4aa6479b012c29555d",
+    ('gf343', 'construct'): "2ba27a3581e6a0dc051b17c0c9f813fc4a7da46b41da135f98e131d0b79a46fc",
+    ('z16', 'construct'): "335dd687b46296135ed695d42f0f91595d936a16daac3108b6819562e226ff41",
+    ('z1024', 'construct'): "f7d8925d2af96386883c35d5886ead92126b9a014ec651a6a1b1c41aff4b636c",
+    ('z5x2', 'construct'): "1c7508227fc12e1c56a082801adff0ab3a6cde23cb0eea28a8d3883aec2e1b2f",
+    ('z25x2', 'construct'): "afc2e47c0bea49a66e41fd4eb677526a1cde2887a3b686129fcc6b3f12ddbded",
+    ('beta2_3', 'construct'): "95e0dc3730ed8bde8462c7c775886a5d208e1205bae4db34d3856966698a073d",
+    ('beta1_3', 'construct'): "67ab32b14293c3318885985d7a0891831f0a535ca553abd36709b5248a477bfe",
+    ('bounds-n-both', 'text'): "a00c4c50951791f353c0a305ca5d7391f1b133e5bb4697922b93acc3e3d6cbcb",
+    ('bounds-n-both', 'json'): "83b297d3436b4a37f8b89d0a9cc9d95b33162837bf7772356aaefc1c59f4160a",
+    ('bounds-n-dimension', 'text'): "00d8965e3ac19165b4b58c3b876d70e1da8c5836eccacfec262bb4c9df6635b9",
+    ('bounds-n-dimension', 'json'): "2b44d853fa8563106610725f08d841cca8895eae986f05671c0096d589c68b8d",
+    ('bounds-n-open', 'text'): "7e68c731fd9009eb8b1fde0cb26e635fdb5b90214132fad78f525a5b60ebc570",
+    ('bounds-n-open', 'json'): "994cfafa29c251b104300e8cc15e1f1bfbcec7fa7db7bc58c8e81512ef430687",
+    ('bounds-q-order', 'text'): "4278973ce1cec38ac8367c4fe6efe44d48974a044d400754182db6e3f872b745",
+    ('bounds-q-order', 'json'): "b08bb342d92f39a8f2e77018fe03474ce0e3a9ef7910176d10c4522eeb58a7c0",
+    ('bounds-q-shape', 'text'): "e9b5311db3b26578efe53b89beb7d8f9d44547d2f051c1c3c34bca3b844f2166",
+    ('bounds-q-shape', 'json'): "f48555c7378701d4cf53010e7e37069f7c99151dcfcce45bd8a837d3a5022a48",
+    ('bounds-q-open', 'text'): "7e68c731fd9009eb8b1fde0cb26e635fdb5b90214132fad78f525a5b60ebc570",
+    ('bounds-q-open', 'json'): "8961a8afcef81609b6c8f2b3c5732cfc38eb95ef3ce14f968d40cf2f2fd9aade",
+    ('search', 'text'): "4181a7293e6f1adf586d8a7c480158e78e16a953eabcadfcd33e89fa8f4f25a9",
+    ('search', 'json'): "09e0fafe7bd00c75baa5d66bf2040c7bba559e9684d6a59fcb331765cca19dc6",
+    ('search', 'raw'): "d85dffc9535bc7782054e3abb0babc6e37960709c3d512ebf87834a6255c1c92",
+    ('search', 'raw-json'): "2a29f97b2b5ded06f0ba48be45ee309caae3553636032938a1deff08d502983d",
+    ('search', 'first'): "f3b315fed9b6d15ac5ef71f1d74aaafbce8c2ca3362f0680374d0c696f58558b",
+    ('search', 'none'): "25960863a628eafa01572aaf47ba8ed53e3a9e43c95c99676bb539da654fe53e",
+    ('survey', 'no-prune-kmax4-qmax40'): "3766105b823b3dd5447a261459d5c1a98984e43fca0f75d7c14db74ff7223a24",
 }
 
 
@@ -240,3 +273,49 @@ def test_golden_decode_uncorrectable_on_packing(splitting_files, fmt):
     argv = ["decode", "--code", splitting_files["z17_packing"], "--levels", "17", "--word", "6", "0"]
     out = _stdout(argv + ["--format", fmt], expect=1)
     assert _digest(out) == GOLDEN[("z17_packing", f"decode-uncorrectable-{fmt}")]
+
+
+@pytest.mark.parametrize("name", [n for n, _ in CONSTRUCTED])
+def test_golden_construct_bytes(name):
+    argv = dict(CONSTRUCTED)[name]
+    assert _digest(_stdout(["construct"] + argv)) == GOLDEN[(name, "construct")]
+
+
+# (name, argv): ruled out by both shape rules, by one, and open, for
+# --n; ruled out by a group-order rule, by the shape rules, and open, for --q
+BOUNDS = (
+    ("n-both", ["--kplus", "3", "--kminus", "2", "--n", "2"]),
+    ("n-dimension", ["--kplus", "5", "--kminus", "1", "--n", "2"]),
+    ("n-open", ["--kplus", "3", "--kminus", "1", "--n", "6"]),
+    ("q-order", ["--kplus", "2", "--kminus", "1", "--q", "10"]),
+    ("q-shape", ["--kplus", "4", "--kminus", "3", "--q", "22"]),
+    ("q-open", ["--kplus", "3", "--kminus", "1", "--q", "25"]),
+)
+
+
+@pytest.mark.parametrize("name", [n for n, _ in BOUNDS])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_golden_bounds_bytes(name, fmt):
+    argv = ["bounds", *dict(BOUNDS)[name], "--format", fmt]
+    assert _digest(_stdout(argv)) == GOLDEN[(f"bounds-{name}", fmt)]
+
+
+SEARCHES = (
+    ("text", ["--kplus", "3", "--kminus", "1", "--q", "25"]),
+    ("json", ["--kplus", "3", "--kminus", "1", "--q", "25", "--format", "json"]),
+    ("raw", ["--kplus", "2", "--kminus", "1", "--q", "16", "--raw"]),
+    ("raw-json", ["--kplus", "2", "--kminus", "1", "--q", "16", "--raw", "--format", "json"]),
+    ("first", ["--kplus", "3", "--kminus", "1", "--q", "25", "--first"]),
+    ("none", ["--kplus", "3", "--kminus", "1", "--q", "26"]),
+)
+
+
+@pytest.mark.parametrize("name", [n for n, _ in SEARCHES])
+def test_golden_search_bytes(name):
+    out = _stdout(["search", *dict(SEARCHES)[name]])
+    assert _digest(out) == GOLDEN[("search", name)]
+
+
+def test_golden_survey_csv_bytes():
+    out = _stdout(["survey", "--no-prune", "--kmax", "4", "--qmax", "40"])
+    assert _digest(out) == GOLDEN[("survey", "no-prune-kmax4-qmax40")]

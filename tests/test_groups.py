@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from quasicross import FiniteAbelianGroup, build_field, cyclic_group, is_prime
+from quasicross import FiniteAbelianGroup, cyclic_group, is_prime
 from quasicross.groups import prime_factors
 
 import oracles
@@ -99,30 +99,3 @@ def test_prime_factors():
     assert prime_factors(1) == []
     assert prime_factors(60) == [2, 3, 5]
     assert prime_factors(97) == [97]
-
-
-@pytest.mark.parametrize(
-    "p,ell",
-    [(2, 1), (2, 3), (3, 2), (5, 1), (5, 2), (7, 2), (11, 2), (13, 3)],
-)
-def test_build_field_modulus_is_irreducible_and_primitive(p, ell):
-    field = build_field(p, ell)
-    f = list(field.modulus)
-    assert len(f) == ell + 1 and f[-1] == 1
-    assert oracles.brute_irreducible(p, f)
-    assert oracles.brute_x_order(p, f) == p**ell - 1
-    assert field.additive_group.orders == (p,) * ell
-
-
-def test_build_field_deterministic():
-    assert build_field(5, 2) == build_field(5, 2)
-    assert build_field(5, 2).modulus == (2, 1, 1)
-    assert build_field(5, 1).modulus == (2, 1)
-    assert build_field(2, 1).modulus == (1, 1)
-
-
-def test_build_field_rejects_composite():
-    with pytest.raises(ValueError):
-        build_field(4, 2)
-    with pytest.raises(ValueError):
-        build_field(5, 0)

@@ -33,6 +33,16 @@ def test_search_21_q16_single_orbit():
     assert canonical == {(1, 3, 4, 5, 7)}
 
 
+@pytest.mark.parametrize(
+    "k_plus,k_minus,q,dedupe,classes",
+    [(2, 1, 64, True, 64), (2, 1, 16, False, 8), (3, 1, 25, True, 4), (2, 1, 7, True, 0)],
+)
+def test_search_scans_each_result_once(scans, k_plus, k_minus, q, dedupe, classes):
+    found = search_tilings(k_plus, k_minus, q, dedupe=dedupe)
+    assert len(found) == classes
+    assert scans == found
+
+
 def test_search_21_q7_empty():
     assert search_tilings(2, 1, 7) == []
 
