@@ -134,6 +134,7 @@ def make_code(sp: Splitting, levels: int, pivots: tuple[int, ...] | None = None)
     if len(orders) != 1:
         raise ValueError("codes need a group with equal cyclic orders")
     v = sp.group.orders[0]
+    [levels] = _integers([levels], "levels")
     if levels <= 0 or levels % v != 0:
         raise ValueError(f"levels must be a positive multiple of {v}, got {levels}")
     k = len(sp.group.orders)
@@ -143,7 +144,7 @@ def make_code(sp: Splitting, levels: int, pivots: tuple[int, ...] | None = None)
             raise ValueError("no invertible pivot system found among the splitter columns")
         pivots = found[0]
     else:
-        pivots = tuple(int(i) for i in pivots)
+        pivots = tuple(_integers(pivots, "pivot coordinates"))
         if len(pivots) != k or len(set(pivots)) != k:
             raise ValueError(f"need {k} distinct pivot coordinates")
         if not all(0 <= i < sp.n for i in pivots):
@@ -160,15 +161,24 @@ def _integers(values, what: str) -> list[int]:
         raise ValueError(f"{what} must be integers") from None
 
 
+def _word(cs: CodeSpec, word) -> list[int]:
+    word = _integers(word, "word entries")
+    if len(word) != cs.n:
+        raise ValueError(f"word has length {len(word)}, code has n={cs.n}")
+    return word
+
+
+def _syndrome(cs: CodeSpec, word: list[int]) -> Element:
+    v = cs.splitting.group.orders[0]
+    return tuple(sum(map(mul, word, col)) % v for col in cs.columns)
+
+
 def syndrome(cs: CodeSpec, word) -> Element:
     """Image of the received word in the group, one integer dot product
     mod v per cyclic factor; zero exactly on lattice points, independent
-    of the alphabet wrap."""
-    word = list(word)
-    if len(word) != cs.n:
-        raise ValueError(f"word has length {len(word)}, code has n={cs.n}")
-    v = cs.splitting.group.orders[0]
-    return tuple(sum(map(mul, word, col)) % v for col in cs.columns)
+    of the alphabet wrap.  Entries must be integers: a float raises
+    ValueError."""
+    return _syndrome(cs, _word(cs, word))
 
 
 def encode(cs: CodeSpec, info, quotients=0) -> tuple[int, ...]:
@@ -201,7 +211,7 @@ def encode(cs: CodeSpec, info, quotients=0) -> tuple[int, ...]:
     for i, x in sorted(zip(cs.pivots, digits)):  # ascending, so each lands at i
         word.insert(i, x)
     out = tuple(word)
-    if any(syndrome(cs, out)):
+    if any(_syndrome(cs, out)):
         raise RuntimeError("encoder produced a word with nonzero syndrome")
     return out
 
@@ -228,16 +238,15 @@ def decode(cs: CodeSpec, word, table: SyndromeTable | None = None) -> Decoded:
     accepted.  More than one error decodes to some wrong codeword
     without detection (the code is perfect); that is inherent, not a
     defect.  Entries must be integers: a float raises ValueError."""
-    word = _integers(word, "word entries")
+    word = _word(cs, word)
     if table is None:
         table = SyndromeTable(cs.splitting)
-    s = syndrome(cs, word)
+    s = _syndrome(cs, word)
     if not any(s):
         return Decoded(tuple(word), None)
     hit = table.lookup(s)
     if hit is None:
         return Decoded(None, None)
     i, m = hit
-    corrected = list(word)
-    corrected[i] -= m
-    return Decoded(tuple(corrected), (i, m))
+    word[i] -= m
+    return Decoded(tuple(word), (i, m))

@@ -29,7 +29,6 @@ from .groups import Element, FiniteAbelianGroup, is_prime
 from .splitting import (
     MultiplierSet,
     Splitting,
-    is_tiling,
     make_cyclic_splitting,
     verify_packing,
 )
@@ -47,14 +46,14 @@ def _check_arms(p: int, k_plus: int, k_minus: int) -> None:
         )
 
 
-def _verified(sp: Splitting, expect_tiling: bool) -> Splitting:
+def _verified(sp: Splitting) -> Splitting:
     check = verify_packing(sp)
     if not check.ok:
         raise RuntimeError(
             f"construction produced a non-packing: {check.collision.describe()}"
         )
     # a packing tiles iff its crosses fill the group
-    if expect_tiling and sp.group.order != sp.shape.volume:
+    if sp.group.order != sp.shape.volume:
         raise RuntimeError("construction produced a packing that is not a tiling")
     return sp
 
@@ -76,7 +75,7 @@ def cyclic_splitting(p: int, ell: int, k_plus: int, k_minus: int) -> Splitting:
     splitters = sorted(s % p**ell for s in level)
     assert len(splitters) == (p**ell - 1) // (p - 1)
     sp = make_cyclic_splitting(p**ell, k_plus, k_minus, splitters)
-    return _verified(sp, expect_tiling=True)
+    return _verified(sp)
 
 
 def field_splitting(p: int, ell: int, k_plus: int, k_minus: int) -> Splitting:
@@ -90,7 +89,7 @@ def field_splitting(p: int, ell: int, k_plus: int, k_minus: int) -> Splitting:
         raise ValueError("ell must be >= 1")
     columns = sorted(_lifted_columns((1,), p, ell))
     sp = Splitting(FiniteAbelianGroup((p,) * ell), MultiplierSet(k_plus, k_minus), tuple(columns))
-    return _verified(sp, expect_tiling=True)
+    return _verified(sp)
 
 
 def two_one_splitting(ell: int) -> Splitting:
@@ -112,7 +111,7 @@ def two_one_splitting(ell: int) -> Splitting:
     splitters = sorted(s % 4**ell for s in level)
     assert len(splitters) == (4**ell - 1) // 3
     sp = make_cyclic_splitting(4**ell, 2, 1, splitters)
-    return _verified(sp, expect_tiling=True)
+    return _verified(sp)
 
 
 def _lifted_columns(values, v: int, k: int) -> list[Element]:
@@ -135,7 +134,8 @@ def matrix_extension(base: Splitting, k: int) -> Splitting:
     collide under a non-unit multiplier and the lift is not even a
     packing) and a base that is a packing.  Columns are ordered by
     (pivot position, base splitter order, lower entries).  The lift
-    tiles exactly when the base does.
+    packs exactly when the base does, and then, by counting, tiles
+    exactly when the base does, so only the lift is scanned.
     """
     if not base.group.is_cyclic_form:
         raise ValueError("matrix_extension needs a base splitting of a cyclic group")
@@ -152,7 +152,9 @@ def matrix_extension(base: Splitting, k: int) -> Splitting:
         return base
     columns = _lifted_columns(base.splitter_values(), v, k)
     sp = Splitting(FiniteAbelianGroup((v,) * k), base.multipliers, tuple(columns))
-    return _verified(sp, expect_tiling=is_tiling(base))
+    if not verify_packing(sp).ok:
+        raise ValueError(f"base {list(base.splitter_values())} of Z_{v} is not a packing")
+    return sp
 
 
 def mixed_splitting(p: int, ell: int, k_plus: int, k_minus: int, k: int) -> Splitting:

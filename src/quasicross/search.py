@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass
 from io import StringIO
 from math import gcd
 
@@ -153,32 +154,11 @@ class SurveyRow:
     tilings: tuple[tuple[int, ...], ...]
     elapsed: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k_plus": self.k_plus,
-            "k_minus": self.k_minus,
-            "q": self.q,
-            "n": self.n,
-            "ruled_out": self.ruled_out,
-            "triggered": list(self.triggered),
-            "searched": self.searched,
-            "tilings": [list(t) for t in self.tilings],
-            "elapsed": self.elapsed,
-        }
-
     @staticmethod
     def from_json_dict(d: dict) -> "SurveyRow":
-        return SurveyRow(
-            d["k_plus"],
-            d["k_minus"],
-            d["q"],
-            d["n"],
-            d["ruled_out"],
-            tuple(d["triggered"]),
-            d["searched"],
-            tuple(tuple(t) for t in d["tilings"]),
-            d["elapsed"],
-        )
+        """Inverse of `dataclasses.asdict`, once JSON has made its tuples lists."""
+        d = {**d, "triggered": tuple(d["triggered"]), "tilings": tuple(map(tuple, d["tilings"]))}
+        return SurveyRow(**d)
 
 
 def survey_instances(k_max: int, q_max: int):
@@ -195,8 +175,7 @@ def survey_instances(k_max: int, q_max: int):
 
 def _run_instance(args) -> SurveyRow:
     k_plus, k_minus, q, prune, time_limit = args
-    span = k_plus + k_minus
-    n = (q - 1) // span
+    n = (q - 1) // (k_plus + k_minus)
     report = instance_feasibility(k_plus, k_minus, q)
     triggered = tuple(r.name for r in report.triggered())
     start = time.monotonic()
@@ -208,6 +187,29 @@ def _run_instance(args) -> SurveyRow:
     return SurveyRow(
         k_plus, k_minus, q, n, report.ruled_out, triggered, True, tilings, elapsed
     )
+
+
+def _read_log(path: str) -> dict[tuple[int, int, int], SurveyRow]:
+    """The rows of a progress log by instance.  A torn last line, left by
+    a kill during a write, is cut off so that appended rows stay valid
+    JSON lines; any other malformed line raises ValueError."""
+    try:
+        with open(path, "r+b") as fh:
+            data = fh.read()
+            data = data[: data.rfind(b"\n") + 1]
+            fh.truncate(len(data))
+    except FileNotFoundError:
+        return {}
+    done = {}
+    for number, line in enumerate(data.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            row = SurveyRow.from_json_dict(json.loads(line))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}, line {number}: not a survey row ({exc})") from None
+        done[row.k_plus, row.k_minus, row.q] = row
+    return done
 
 
 def survey(
@@ -224,47 +226,33 @@ def survey(
     skipped (marked unsearched); disable it to search everything, which
     turns the rule set and the search into independent cross-checks of
     each other.  A progress file (JSON lines) makes interrupted runs
-    resumable: completed instances are loaded, the rest appended.
-    Logged instances are reused as-is, so keep one log per mode.
+    resumable: each row is appended and flushed as soon as it and every
+    row before it in grid order are done, and a rerun searches only the
+    instances the log lacks.  Logged rows are reused as-is, so keep one
+    log per mode.
     """
-    done: dict[tuple[int, int, int], SurveyRow] = {}
-    if progress_path:
-        try:
-            with open(progress_path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    row = SurveyRow.from_json_dict(json.loads(line))
-                    done[(row.k_plus, row.k_minus, row.q)] = row
-        except FileNotFoundError:
-            pass
-    todo = [
-        (kp, km, q, prune_with_bounds, time_limit)
-        for kp, km, q in survey_instances(k_max, q_max)
-        if (kp, km, q) not in done
-    ]
-    log = open(progress_path, "a", encoding="utf-8") if progress_path else None
-    try:
+    grid = list(survey_instances(k_max, q_max))
+    done = _read_log(progress_path) if progress_path else {}
+    todo = [(*key, prune_with_bounds, time_limit) for key in grid if key not in done]
+    with ExitStack() as stack:
+        log = stack.enter_context(open(progress_path, "a", encoding="utf-8")) if progress_path else None
         if jobs > 1 and len(todo) > 1:
             # imported here: the process-pool machinery costs every other
             # user of the package about 2.5 MiB and 20 ms of import
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                computed = list(pool.map(_run_instance, todo, chunksize=8))
+            pool = ProcessPoolExecutor(max_workers=jobs)
+            # however the loop ends, queued instances are dropped, not run
+            stack.callback(pool.shutdown, cancel_futures=True)
+            rows = pool.map(_run_instance, todo)
         else:
-            computed = [_run_instance(item) for item in todo]
-        for row in computed:
-            done[(row.k_plus, row.k_minus, row.q)] = row
+            rows = map(_run_instance, todo)
+        for row in rows:
+            done[row.k_plus, row.k_minus, row.q] = row
             if log:
-                log.write(json.dumps(row.to_json_dict()) + "\n")
-    finally:
-        if log:
-            log.close()
-    grid = set(survey_instances(k_max, q_max))
-    keep = {key: row for key, row in done.items() if key in grid}
-    return [keep[key] for key in sorted(keep)]
+                log.write(json.dumps(asdict(row)) + "\n")
+                log.flush()
+    return [done[key] for key in grid]
 
 
 def survey_csv(rows: list[SurveyRow]) -> str:

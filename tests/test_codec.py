@@ -104,6 +104,27 @@ def test_decode_rejects_non_integer_entries(word):
         decode(z17_code(), word)
 
 
+@pytest.mark.parametrize("word", [[8.9, 2.2], [8.0, 2], [8, None], ["8", "2"]])
+def test_syndrome_rejects_non_integer_entries(word):
+    # syndrome(cs, [8.9, 2.2]) used to return the float residue (3.5,)
+    with pytest.raises(ValueError, match="word entries must be integers"):
+        syndrome(z17_code(), word)
+
+
+@pytest.mark.parametrize("levels", [17.0, 34.5, "17", None])
+def test_make_code_rejects_non_integer_levels(levels):
+    # make_code(sp, 17.0) used to keep levels = 17.0
+    with pytest.raises(ValueError, match="levels must be integers"):
+        make_code(make_cyclic_splitting(17, 3, 2, [1, 13]), levels)
+
+
+@pytest.mark.parametrize("pivots", [(0.7,), (1.0,), ("0",), (None,)])
+def test_make_code_rejects_non_integer_pivots(pivots):
+    # int() used to truncate pivots=(0.7,) to (0,)
+    with pytest.raises(ValueError, match="pivot coordinates must be integers"):
+        make_code(make_cyclic_splitting(17, 3, 2, [1, 13]), 17, pivots)
+
+
 def test_codec_accepts_integer_like_digits():
     class Digit:
         def __init__(self, value):
@@ -116,6 +137,9 @@ def test_codec_accepts_integer_like_digits():
     assert encode(cs, [Digit(2)], Digit(0)) == (8, 2)
     assert encode(cs, (x for x in [2]), [0]) == (8, 2)
     assert decode(cs, [Digit(8), Digit(4)]).codeword == (8, 2)
+    assert syndrome(cs, (x for x in [Digit(8), Digit(4)])) == (9,)
+    sp = make_cyclic_splitting(17, 3, 2, [1, 13])
+    assert make_code(sp, Digit(34), [Digit(1)]) == make_code(sp, 34, (1,))
 
 
 def test_decode_corrects_single_error():

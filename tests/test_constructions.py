@@ -4,6 +4,7 @@ import pytest
 
 from quasicross import (
     balance_family,
+    constructions,
     cyclic_splitting,
     field_splitting,
     is_tiling,
@@ -26,8 +27,8 @@ import oracles
         (lambda: field_splitting(7, 1, 4, 2), 1),
         (lambda: two_one_splitting(3), 1),
         (lambda: balance_family(2, 3, 1).splitting, 1),
-        (lambda: mixed_splitting(5, 1, 3, 1, 3), 3),  # the base, is_tiling(base), the lift
-        (lambda: mixed_splitting(5, 2, 3, 1, 2), 3),
+        (lambda: mixed_splitting(5, 1, 3, 1, 3), 2),  # the base, then only the lift
+        (lambda: mixed_splitting(5, 2, 3, 1, 2), 2),
     ],
     ids=["cyclic", "cyclic-z343", "field", "field-l1", "two-one", "balance", "mixed", "mixed-z25"],
 )
@@ -132,6 +133,22 @@ def test_matrix_extension_counterexample():
     assert is_tiling(base)
     with pytest.raises(ValueError, match="multiplier 2"):
         matrix_extension(base, 2)
+
+
+def test_matrix_extension_rejects_non_packing_base(scans):
+    base = make_cyclic_splitting(7, 2, 1, [1, 2])  # 2 * 1 = 1 * 2 collide
+    assert not verify_packing(base).ok
+    scans.clear()
+    with pytest.raises(ValueError, match=r"base \[1, 2\] of Z_7 is not a packing"):
+        matrix_extension(base, 2)
+    assert len(scans) == 1  # the lift only
+
+
+def test_construction_fault_names_the_collision():
+    with pytest.raises(RuntimeError, match=r"non-packing: 2\*1 = 1\*2 = 2"):
+        constructions._verified(make_cyclic_splitting(7, 2, 1, [1, 2]))
+    with pytest.raises(RuntimeError, match="not a tiling"):
+        constructions._verified(make_cyclic_splitting(17, 3, 2, [1, 13]))
 
 
 def test_matrix_extension_k1_is_identity():

@@ -1,6 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import time
+import types
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +26,8 @@ from quasicross import (
     unit_orbit_canonical,
     verify_packing,
 )
+from quasicross import search as search_mod
+from quasicross.cli import main
 from quasicross.search import survey_instances
 from quasicross.splitting import Singularity
 
@@ -161,3 +172,144 @@ def test_survey_csv_format():
     assert '"[[1, 3, 4, 5, 7]]"' in q16
     summary = survey_summary(rows)
     assert "rules consistent" in summary
+
+
+# SHA-256 of the progress log of an uninterrupted survey(k_max=4,
+# q_max=40) with the clock frozen (every elapsed 0.0), recorded with
+# the rows serialised field by field before the log was streamed
+GOLDEN_LOG = {
+    False: "d437f1065f6fd63fb7377cc86e1f34e3c57910700e88d48d0e9d44c34c2595b1",
+    True: "fbe132c5668427c44e774547a6881f34f583c37e17522705e5dc8284e4fc8d44",
+}
+
+
+def strip(rows):
+    """Rows without the wall-clock field, which differs between runs."""
+    return [dataclasses.replace(r, elapsed=0.0) for r in rows]
+
+
+def logged(path):
+    """Every line of a progress log, parsed; a torn line fails here."""
+    lines = path.read_bytes().split(b"\n")
+    assert lines[-1] == b""
+    return [search_mod.SurveyRow.from_json_dict(json.loads(line)) for line in lines[:-1]]
+
+
+@pytest.mark.parametrize("prune", [False, True])
+def test_survey_log_bytes_unchanged(monkeypatch, tmp_path, prune):
+    monkeypatch.setattr(search_mod, "time", types.SimpleNamespace(monotonic=lambda: 0.0))
+    log = tmp_path / "progress.jsonl"
+    rows = survey(k_max=4, q_max=40, prune_with_bounds=prune, progress_path=str(log))
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == GOLDEN_LOG[prune]
+    assert logged(log) == rows
+
+
+def test_survey_log_same_rows_in_parallel(tmp_path):
+    serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+    survey(k_max=3, q_max=40, prune_with_bounds=False, progress_path=str(serial))
+    survey(k_max=3, q_max=40, prune_with_bounds=False, jobs=2, progress_path=str(parallel))
+    assert strip(logged(parallel)) == strip(logged(serial))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_survey_timeout_keeps_finished_rows(tmp_path, jobs):
+    # pruned, the grid opens with three ruled-out rows that need no
+    # search; a 1 ns limit then stops the first search, (2,1,16)
+    fresh = strip(survey(k_max=2, q_max=70))
+    log = tmp_path / "progress.jsonl"
+    with pytest.raises(SearchTimeout):
+        survey(k_max=2, q_max=70, jobs=jobs, time_limit=1e-9, progress_path=str(log))
+    kept = strip(logged(log))
+    assert 3 <= len(kept) < len(fresh)
+    assert kept == fresh[: len(kept)]
+    resumed = survey(k_max=2, q_max=70, jobs=jobs, progress_path=str(log))
+    assert strip(resumed) == fresh
+    assert strip(logged(log)) == fresh
+
+
+def test_survey_interrupt_keeps_finished_rows(monkeypatch, tmp_path):
+    fresh = strip(survey(k_max=3, q_max=40, prune_with_bounds=False))
+    log = tmp_path / "progress.jsonl"
+    run = search_mod._run_instance
+    calls = []
+
+    def interrupted(args):
+        # each finished row is on disk before the next instance starts;
+        # the tenth call is interrupted and logs nothing
+        assert len(log.read_bytes().splitlines()) == len(calls) - (len(calls) >= 10)
+        calls.append(args)
+        if len(calls) == 10:
+            raise KeyboardInterrupt
+        return run(args)
+
+    monkeypatch.setattr(search_mod, "_run_instance", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        survey(k_max=3, q_max=40, prune_with_bounds=False, progress_path=str(log))
+    assert strip(logged(log)) == fresh[:9]
+    resumed = survey(k_max=3, q_max=40, prune_with_bounds=False, progress_path=str(log))
+    assert len(calls) == 10 + len(fresh) - 9  # only the unlogged instances run again
+    assert strip(resumed) == fresh
+
+
+def test_survey_drops_torn_last_line(tmp_path):
+    log = tmp_path / "progress.jsonl"
+    fresh = strip(survey(k_max=2, q_max=40, progress_path=str(log)))
+    data = log.read_bytes()
+    last = data[data.rfind(b"\n", 0, -1) + 1 :]
+    log.write_bytes(data[: -len(last) // 2])  # a kill in the middle of the last write
+    resumed = survey(k_max=2, q_max=40, progress_path=str(log))
+    assert strip(resumed) == fresh
+    assert strip(logged(log)) == fresh
+
+
+@pytest.mark.parametrize("bad", [b"{not json", b"{}", b"[1, 2]", b'{"k_plus": 2}'])
+@pytest.mark.parametrize("position", [0, 3, -1])
+def test_survey_rejects_malformed_complete_line(capsys, tmp_path, bad, position):
+    log = tmp_path / "progress.jsonl"
+    survey(k_max=2, q_max=40, progress_path=str(log))
+    lines = log.read_bytes().splitlines(keepends=True)
+    lines.insert(position if position >= 0 else len(lines), bad + b"\n")
+    log.write_bytes(b"".join(lines))
+    before = log.read_bytes()
+    with pytest.raises(ValueError, match="not a survey row"):
+        survey(k_max=2, q_max=40, progress_path=str(log))
+    code = main(["survey", "--kmax", "2", "--qmax", "40", "--progress", str(log)])
+    assert code == 2
+    assert "not a survey row" in capsys.readouterr().err
+    assert log.read_bytes() == before
+
+
+def test_survey_killed_process_resumes(tmp_path):
+    # a real kill: no exception handler or file close runs, so only rows
+    # already flushed survive, and the kill may tear the line being written
+    log = tmp_path / "progress.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(search_mod.__file__).parents[1]))
+    argv = ["survey", "--kmax", "3", "--qmax", "70", "--no-prune"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quasicross", *argv, "--progress", str(log)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        # rows 1-19 take milliseconds, row 20, (2,1,64), about 0.4 s
+        deadline = time.monotonic() + 60
+        while proc.poll() is None and time.monotonic() < deadline:
+            if log.exists() and log.read_bytes().count(b"\n") >= 19:
+                break
+            time.sleep(0.002)
+        assert proc.poll() is None, "the survey ended before it could be killed"
+    finally:
+        proc.kill()  # SIGKILL
+        proc.wait(timeout=60)
+    assert log.read_bytes().count(b"\n") >= 19
+    resumed = survey(k_max=3, q_max=70, prune_with_bounds=False, progress_path=str(log))
+    assert strip(resumed) == strip(survey(k_max=3, q_max=70, prune_with_bounds=False))
+    assert strip(logged(log)) == strip(resumed)
+
+
+def test_survey_returns_only_its_grid_from_a_wider_log(tmp_path):
+    log = tmp_path / "progress.jsonl"
+    wide = survey(k_max=3, q_max=40, progress_path=str(log))
+    narrow = survey(k_max=2, q_max=30, progress_path=str(log))
+    assert [(r.k_plus, r.k_minus, r.q) for r in narrow] == list(survey_instances(2, 30))
+    assert narrow == [r for r in wide if (r.k_plus, r.k_minus, r.q) in set(survey_instances(2, 30))]
+    assert len(logged(log)) == len(wide)
