@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .splitting import QuasiCrossShape
+from .groups import cyclic_group
+from .splitting import MultiplierSet, QuasiCrossShape
 
 
 @dataclass(frozen=True)
@@ -92,10 +93,8 @@ def group_order_constraints(k_plus: int, k_minus: int, q: int) -> FeasibilityRep
     consecutive arms (k, k-1), gcd(k, q) must exceed 1; (c) for arms
     (2^w, 2^w - 1), q must be a power of 2^(w+1).
     """
-    if q < 2:
-        raise ValueError("group order must be >= 2")
-    if not 0 < k_minus < k_plus:
-        raise ValueError("need 0 < k_minus < k_plus")
+    q = cyclic_group(q).order  # an integer >= 2, or ValueError
+    MultiplierSet(k_plus, k_minus)
     span = k_plus + k_minus
     rules = []
     divisible = (q - 1) % span == 0

@@ -3,14 +3,15 @@
 Subcommands: construct, verify, lattice, search, survey, bounds, encode,
 decode, plot.  Exit codes: 0 success, 1 negative verification result
 (non-packing input, uncorrectable word), 2 usage or precondition error,
-3 internal fault.  Every subcommand is deterministic given identical
-flags.
+3 internal fault, 130 interrupted (Ctrl-C).  Every subcommand is
+deterministic given identical flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from . import bounds as bounds_mod
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 
 def _read_splitting(path: str) -> split_mod.Splitting:
@@ -327,20 +329,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _interrupt(signum, frame):
+    # the first Ctrl-C unwinds; later ones are ignored (`timeout` signals the
+    # child and then its group), as one that cuts into a pool's join hangs it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    raise KeyboardInterrupt
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous = signal.signal(signal.SIGINT, _interrupt)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except search_mod.SearchTimeout as exc:
+    except (ValueError, OSError, search_mod.SearchTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
         print(f"internal fault: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    finally:
+        signal.signal(signal.SIGINT, previous)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from operator import index, mul
 
-from .groups import Element
+from .groups import Element, integers
 from .splitting import Splitting, _scan_products
 
 
@@ -86,29 +86,50 @@ class CodeSpec:
     """A splitting plus the physical alphabet [0, levels) and the pivot
     coordinates the encoder solves for.
 
-    Set-up precomputes the flat integer form the codec runs on: the k
-    splitter columns (entry i of column j is coordinate j of s_i), their
+    The group must have equal cyclic orders v (true for every
+    construction here: Z_q, Z_p^l, and (Z_{p^l})^k), and levels must be
+    a positive multiple of v.  Omitted pivots are chosen automatically
+    (the first splitter columns forming an invertible system).  Set-up
+    precomputes the flat integer form the codec runs on: the k splitter
+    columns (entry i of column j is coordinate j of s_i), their
     restriction to the free coordinates, and the inverse mod v of the
-    pivot system.  Raises ValueError when that system is not invertible."""
+    pivot system.  Raises ValueError on any invalid input, a pivot
+    system that is not invertible included."""
 
     splitting: Splitting
     levels: int
-    pivots: tuple[int, ...]
+    pivots: tuple[int, ...] | None = None
     free_coordinates: tuple[int, ...] = field(init=False, repr=False, compare=False)
     columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     free_columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     pivot_inverse: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sp, pivots = self.splitting, self.pivots
-        v = sp.group.orders[0]
-        pivot_set = set(pivots)
-        free = tuple(i for i in range(sp.n) if i not in pivot_set)
+        sp = self.splitting
+        if len(set(sp.group.orders)) != 1:
+            raise ValueError("codes need a group with equal cyclic orders")
+        v, k = sp.group.orders[0], sp.group.rank
+        [levels] = integers([self.levels], "levels")
+        if levels <= 0 or levels % v != 0:
+            raise ValueError(f"levels must be a positive multiple of {v}, got {levels}")
+        if self.pivots is None:
+            found = _unit_pivots(sp.splitters, range(sp.n), v)
+            if found is None:
+                raise ValueError("no invertible pivot system found among the splitter columns")
+        else:
+            pivots = tuple(integers(self.pivots, "pivot coordinates"))
+            if len(pivots) != k or len(set(pivots)) != k:
+                raise ValueError(f"need {k} distinct pivot coordinates")
+            if not all(0 <= i < sp.n for i in pivots):
+                raise ValueError("pivot coordinate out of range")
+            found = _unit_pivots(sp.splitters, pivots, v)
+            if found is None:
+                raise ValueError(f"pivot columns {pivots} are not invertible mod {v}")
+        pivots, inverse = found
+        free = tuple(i for i in range(sp.n) if i not in pivots)
         columns = tuple(zip(*sp.splitters))
-        found = _unit_pivots(sp.splitters, pivots, v)
-        if found is None:
-            raise ValueError(f"pivot columns {pivots} are not invertible mod {v}")
-        inverse = found[1]
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "free_coordinates", free)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "free_columns", tuple(tuple(col[i] for i in free) for col in columns))
@@ -125,44 +146,12 @@ class CodeSpec:
 
 
 def make_code(sp: Splitting, levels: int, pivots: tuple[int, ...] | None = None) -> CodeSpec:
-    """Validate levels and pivot coordinates, auto-selecting pivots when
-    omitted (first splitter columns forming an invertible system).
-
-    The group must have equal cyclic orders (true for every construction
-    here: Z_q, Z_p^l, and (Z_{p^l})^k)."""
-    orders = set(sp.group.orders)
-    if len(orders) != 1:
-        raise ValueError("codes need a group with equal cyclic orders")
-    v = sp.group.orders[0]
-    [levels] = _integers([levels], "levels")
-    if levels <= 0 or levels % v != 0:
-        raise ValueError(f"levels must be a positive multiple of {v}, got {levels}")
-    k = len(sp.group.orders)
-    if pivots is None:
-        found = _unit_pivots(sp.splitters, range(sp.n), v)
-        if found is None:
-            raise ValueError("no invertible pivot system found among the splitter columns")
-        pivots = found[0]
-    else:
-        pivots = tuple(_integers(pivots, "pivot coordinates"))
-        if len(pivots) != k or len(set(pivots)) != k:
-            raise ValueError(f"need {k} distinct pivot coordinates")
-        if not all(0 <= i < sp.n for i in pivots):
-            raise ValueError("pivot coordinate out of range")
+    """The code `CodeSpec(sp, levels, pivots)`, which validates its inputs."""
     return CodeSpec(sp, levels, pivots)
 
 
-def _integers(values, what: str) -> list[int]:
-    """`values` as a list of ints; a float or any other non-integer
-    raises ValueError where int() would silently truncate it."""
-    try:
-        return list(map(index, values))
-    except TypeError:
-        raise ValueError(f"{what} must be integers") from None
-
-
 def _word(cs: CodeSpec, word) -> list[int]:
-    word = _integers(word, "word entries")
+    word = integers(word, "word entries")
     if len(word) != cs.n:
         raise ValueError(f"word has length {len(word)}, code has n={cs.n}")
     return word
@@ -191,7 +180,7 @@ def encode(cs: CodeSpec, info, quotients=0) -> tuple[int, ...]:
     digit must be an integer: a float raises ValueError, never truncated.
     """
     v = cs.splitting.group.orders[0]
-    info = _integers(info, "info digits")
+    info = integers(info, "info digits")
     if len(info) != len(cs.free_coordinates):
         raise ValueError(f"info must have {len(cs.free_coordinates)} digits, got {len(info)}")
     if info and not 0 <= min(info) <= max(info) < cs.levels:
@@ -199,7 +188,7 @@ def encode(cs: CodeSpec, info, quotients=0) -> tuple[int, ...]:
     try:
         quotients = [index(quotients)] * len(cs.pivots)
     except TypeError:
-        quotients = _integers(quotients, "quotient digits")
+        quotients = integers(quotients, "quotient digits")
     if len(quotients) != len(cs.pivots):
         raise ValueError(f"need {len(cs.pivots)} quotient digits")
     if any(not 0 <= t < cs.quotient_levels for t in quotients):

@@ -12,8 +12,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
+from operator import index
 
 Element = tuple[int, ...]
+
+
+def integers(values, what: str) -> list[int]:
+    """`values` as a list of ints; a float or any other non-integer
+    raises ValueError where int() would silently truncate it."""
+    try:
+        return list(map(index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
 
 
 def is_prime(n: int) -> bool:
@@ -56,11 +66,12 @@ class FiniteAbelianGroup:
     orders: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.orders:
+        orders = tuple(integers(self.orders, "cyclic orders"))
+        if not orders:
             raise ValueError("group needs at least one cyclic factor")
-        if any(d < 2 for d in self.orders):
+        if any(d < 2 for d in orders):
             raise ValueError("every cyclic order must be >= 2")
-        object.__setattr__(self, "orders", tuple(int(d) for d in self.orders))
+        object.__setattr__(self, "orders", orders)
 
     @property
     def rank(self) -> int:
@@ -87,7 +98,7 @@ class FiniteAbelianGroup:
 
     def element(self, residues) -> Element:
         """Validate and reduce a residue sequence into this group."""
-        vals = tuple(int(r) for r in residues)
+        vals = integers(residues, "element residues")
         if len(vals) != len(self.orders):
             raise ValueError(
                 f"element has {len(vals)} coordinates, group has {len(self.orders)}"

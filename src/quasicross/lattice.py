@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
+from .groups import integers
 from .intlinalg import SparseRow, bareiss_det, hnf_lower, kernel_hnf, left_kernel, reduce_mod_lattice
 from .splitting import QuasiCrossShape, Splitting, json_int_list
 
@@ -35,7 +36,7 @@ class IntegerLattice:
     rows: tuple[SparseRow, ...]
 
     def __init__(self, basis) -> None:
-        dense = [[int(x) for x in row] for row in basis]
+        dense = [integers(row, "lattice basis entries") for row in basis]
         n = len(dense)
         if n == 0 or any(len(r) != n for r in dense):
             raise ValueError("basis must be a non-empty square matrix")
@@ -85,7 +86,7 @@ class IntegerLattice:
         return IntegerLattice(hnf_lower([list(r) for r in self.basis]))
 
     def contains(self, vector) -> bool:
-        vec = [int(x) for x in vector]
+        vec = integers(vector, "vector entries")
         if len(vec) != self.n:
             raise ValueError("vector dimension mismatch")
         return not reduce_mod_lattice(self.hnf().rows, {j: x for j, x in enumerate(vec) if x})

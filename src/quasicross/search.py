@@ -22,9 +22,11 @@ from io import StringIO
 from math import gcd
 
 from .bounds import instance_feasibility
+from .groups import cyclic_group
 from .splitting import (
     MultiplierSet,
     Splitting,
+    json_int_list,
     make_cyclic_splitting,
     verify_packing,
 )
@@ -96,8 +98,7 @@ def search_tilings(
     """
     multipliers = MultiplierSet(k_plus, k_minus)
     span = len(multipliers)
-    if q < 2:
-        raise ValueError("group order must be >= 2")
+    q = cyclic_group(q).order  # an integer >= 2, or ValueError
     if (q - 1) % span != 0:
         return []
     blocks, candidates = _cover_blocks(q, multipliers)
@@ -156,9 +157,11 @@ class SurveyRow:
 
     @staticmethod
     def from_json_dict(d: dict) -> "SurveyRow":
-        """Inverse of `dataclasses.asdict`, once JSON has made its tuples lists."""
-        d = {**d, "triggered": tuple(d["triggered"]), "tilings": tuple(map(tuple, d["tilings"]))}
-        return SurveyRow(**d)
+        """Inverse of `dataclasses.asdict`, once JSON has made its tuples
+        lists; a non-integer key, n or tiling entry raises ValueError."""
+        json_int_list([d["k_plus"], d["k_minus"], d["q"], d["n"]], "k_plus, k_minus, q and n")
+        tilings = tuple(json_int_list(t, "each tiling") for t in d["tilings"])
+        return SurveyRow(**{**d, "triggered": tuple(d["triggered"]), "tilings": tilings})
 
 
 def survey_instances(k_max: int, q_max: int):
@@ -240,8 +243,10 @@ def survey(
             # imported here: the process-pool machinery costs every other
             # user of the package about 2.5 MiB and 20 ms of import
             from concurrent.futures import ProcessPoolExecutor
+            from signal import SIG_IGN, SIGINT, signal
 
-            pool = ProcessPoolExecutor(max_workers=jobs)
+            # Ctrl-C signals the whole process group; only this process unwinds
+            pool = ProcessPoolExecutor(jobs, initializer=signal, initargs=(SIGINT, SIG_IGN))
             # however the loop ends, queued instances are dropped, not run
             stack.callback(pool.shutdown, cancel_futures=True)
             rows = pool.map(_run_instance, todo)

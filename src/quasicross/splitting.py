@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .groups import Element, FiniteAbelianGroup, cyclic_group, prime_factors
+from .groups import Element, FiniteAbelianGroup, cyclic_group, integers, prime_factors
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,10 @@ class MultiplierSet:
     k_minus: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.k_minus < self.k_plus:
-            raise ValueError(
-                f"need 0 < k_minus < k_plus, got ({self.k_plus}, {self.k_minus})"
-            )
+        k_plus, k_minus = integers((self.k_plus, self.k_minus), "k_plus and k_minus")
+        if not 0 < k_minus < k_plus:
+            raise ValueError(f"need 0 < k_minus < k_plus, got ({k_plus}, {k_minus})")
+        self.__dict__.update(k_plus=k_plus, k_minus=k_minus)  # frozen: store the ints
 
     @cached_property
     def elements(self) -> tuple[int, ...]:
@@ -61,9 +61,11 @@ class QuasiCrossShape:
     n: int
 
     def __post_init__(self) -> None:
-        MultiplierSet(self.k_plus, self.k_minus)
-        if self.n < 1:
+        arms = MultiplierSet(self.k_plus, self.k_minus)
+        [n] = integers([self.n], "dimensions")
+        if n < 1:
             raise ValueError("dimension must be >= 1")
+        self.__dict__.update(k_plus=arms.k_plus, k_minus=arms.k_minus, n=n)
 
     @property
     def volume(self) -> int:
@@ -161,7 +163,7 @@ def fmt_element(e: Element | None) -> str:
 def make_cyclic_splitting(q: int, k_plus: int, k_minus: int, splitters) -> Splitting:
     """Convenience constructor over Z_q with integer splitters."""
     g = cyclic_group(q)
-    return Splitting(g, MultiplierSet(k_plus, k_minus), tuple((int(s),) for s in splitters))
+    return Splitting(g, MultiplierSet(k_plus, k_minus), tuple((s,) for s in splitters))
 
 
 def _scan_products(sp: Splitting):

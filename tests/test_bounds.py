@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from quasicross import (
+    MultiplierSet,
     QuasiCrossShape,
     dimension_bound,
     group_order_constraints,
@@ -91,3 +93,18 @@ def test_instance_feasibility_includes_shape_rules():
     report = instance_feasibility(2, 1, 7)
     assert report.ruled_out
     assert "dimension" in {rule.name for rule in report.triggered()}
+
+
+@pytest.mark.parametrize("k_plus, k_minus", [(1, 2), (2, 2), (2, 0), (2.5, 1)])
+def test_group_rules_check_arms_through_multiplier_set(k_plus, k_minus):
+    # one rule for arms: the same message as MultiplierSet's
+    with pytest.raises(ValueError) as expected:
+        MultiplierSet(k_plus, k_minus)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        group_order_constraints(k_plus, k_minus, 16)
+
+
+@pytest.mark.parametrize("q", [1, 16.0, "16", None])
+def test_group_rules_check_the_order_through_the_group(q):
+    with pytest.raises(ValueError, match="must be"):
+        group_order_constraints(2, 1, q)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
 
 import pytest
 
 from quasicross import from_json, to_json, make_cyclic_splitting
+from quasicross import search as search_mod
 from quasicross.cli import main
 
 
@@ -285,3 +288,18 @@ def test_verify_reports_skipped_geometric_check(capsys, monkeypatch, z17_json):
     code, out, _ = run_cli(capsys, "verify", z17_json, "--format", "json")
     assert code == 0
     assert json.loads(out)["geometric"] is None
+
+
+def test_interrupt_exits_130_and_restores_the_sigint_handler(capsys, monkeypatch):
+    before = signal.getsignal(signal.SIGINT)
+
+    def interrupted(*args, **kwargs):
+        os.kill(os.getpid(), signal.SIGINT)
+        return []
+
+    monkeypatch.setattr(search_mod, "survey", interrupted)
+    code, out, err = run_cli(capsys, "survey", "--kmax", "2", "--qmax", "20")
+    assert (code, out, err) == (130, "", "interrupted\n")
+    assert signal.getsignal(signal.SIGINT) is before
+    assert run_cli(capsys, "bounds", "--kplus", "2", "--kminus", "1", "--q", "16")[0] == 0
+    assert signal.getsignal(signal.SIGINT) is before

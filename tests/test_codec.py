@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
 from quasicross import (
+    CodeSpec,
     FiniteAbelianGroup,
     MultiplierSet,
     Splitting,
@@ -18,6 +20,7 @@ from quasicross import (
     syndrome,
     two_one_splitting,
 )
+from quasicross import codec as codec_mod
 
 import oracles
 
@@ -140,6 +143,71 @@ def test_codec_accepts_integer_like_digits():
     assert syndrome(cs, (x for x in [Digit(8), Digit(4)])) == (9,)
     sp = make_cyclic_splitting(17, 3, 2, [1, 13])
     assert make_code(sp, Digit(34), [Digit(1)]) == make_code(sp, 34, (1,))
+
+
+class Index:
+    """An integer-like number that is not an int: it has only __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def _z3_z9_code():
+    # unequal cyclic orders: reducing both syndrome coordinates mod 3 would
+    # call the non-codeword (0, 3, 0, 0), with image (0, 3), clean
+    group = FiniteAbelianGroup((3, 9))
+    return Splitting(group, MultiplierSet(2, 1), ((1, 0), (0, 1), (1, 1), (1, 2))), 9, (0, 1)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        _z3_z9_code(),
+        (make_cyclic_splitting(17, 3, 2, [1, 13]), 17.5),
+        (make_cyclic_splitting(17, 3, 2, [1, 13]), 0),
+        (make_cyclic_splitting(17, 3, 2, [1, 13]), 18),
+        (make_cyclic_splitting(17, 3, 2, [1, 13]), 17, (0, 0)),
+        (make_cyclic_splitting(17, 3, 2, [1, 13]), 17, (5,)),
+        (make_cyclic_splitting(16, 2, 1, [1, 3, 4, 5, 7]), 16, (2,)),
+        (Splitting(FiniteAbelianGroup((4,)), MultiplierSet(2, 1), ((2,),)), 4),
+    ],
+    ids=["Z3xZ9", "levels-17.5", "levels-0", "levels-18", "pivots-0-0", "pivot-5", "pivot-not-unit", "no-pivots"],
+)
+def test_direct_codespec_rejects_what_make_code_rejects(args):
+    with pytest.raises(ValueError) as via_make_code:
+        make_code(*args)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(via_make_code.value))}$"):
+        CodeSpec(*args)
+
+
+@pytest.mark.parametrize("levels, pivots", [(17, None), (34, None), (Index(34), None), (17, (1,)), (17, [Index(0)])])
+def test_direct_codespec_equals_make_code(levels, pivots):
+    sp = make_cyclic_splitting(17, 3, 2, [1, 13])
+    cs = CodeSpec(sp, levels, pivots)
+    assert cs == make_code(sp, levels, pivots)
+    assert type(cs.levels) is int and all(type(i) is int for i in cs.pivots)
+    assert cs.pivot_inverse == make_code(sp, levels, pivots).pivot_inverse
+    if pivots is None:
+        assert CodeSpec(sp, levels) == CodeSpec(sp, levels, cs.pivots)
+
+
+def test_auto_pivots_take_one_elimination(monkeypatch):
+    calls = []
+    eliminate = codec_mod._unit_pivots
+
+    def counting(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(codec_mod, "_unit_pivots", counting)
+    sp = mixed_splitting(5, 1, 3, 1, 3)
+    pivots = make_code(sp, 5).pivots
+    assert len(calls) == 1  # was 2: make_code chose the pivots, CodeSpec eliminated again
+    make_code(sp, 5, pivots)
+    assert len(calls) == 2
 
 
 def test_decode_corrects_single_error():

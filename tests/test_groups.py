@@ -1,10 +1,20 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from quasicross import FiniteAbelianGroup, cyclic_group, is_prime
+from quasicross import (
+    FiniteAbelianGroup,
+    IntegerLattice,
+    MultiplierSet,
+    QuasiCrossShape,
+    cyclic_group,
+    is_prime,
+    make_cyclic_splitting,
+    search_tilings,
+)
 from quasicross.groups import prime_factors
 
 import oracles
@@ -99,3 +109,44 @@ def test_prime_factors():
     assert prime_factors(1) == []
     assert prime_factors(60) == [2, 3, 5]
     assert prime_factors(97) == [97]
+
+
+class Index:
+    """An integer-like number that is not an int: it has only __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+# each builder puts x where the constructor needs an integer; x = valid is accepted
+INTEGER_GATES = {
+    "FiniteAbelianGroup": (lambda x: FiniteAbelianGroup((17, x)), 9),
+    "element": (lambda x: cyclic_group(17).element((x,)), 3),
+    "MultiplierSet": (lambda x: MultiplierSet(x, 1), 3),
+    "QuasiCrossShape": (lambda x: QuasiCrossShape(3, 1, x), 2),
+    "IntegerLattice": (lambda x: IntegerLattice([[x, 0], [1, 3]]), 2),
+    "contains": (lambda x: IntegerLattice([[2, 0], [1, 3]]).contains([x, 0]), 2),
+    "search_tilings": (lambda x: search_tilings(2, 1, x), 16),
+    "make_cyclic_splitting": (lambda x: make_cyclic_splitting(17, 3, 2, [x, 13]), 1),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_GATES)
+@pytest.mark.parametrize("bad", [0.5, "1", None, Fraction(1, 2)], ids=["float", "str", "None", "Fraction"])
+def test_constructors_reject_non_integers(name, bad):
+    # int() used to truncate: FiniteAbelianGroup((17.5,)) was Z17,
+    # QuasiCrossShape(3, 1, 2.5) had volume 11.0, and
+    # IntegerLattice([[2, 0], [1, 3]]).contains([17.9, 0]) was True
+    build, valid = INTEGER_GATES[name]
+    with pytest.raises(ValueError, match="must be integers"):
+        build(valid + bad if isinstance(bad, float) else bad)
+
+
+@pytest.mark.parametrize("name", INTEGER_GATES)
+def test_constructors_accept_and_store_index_integers(name):
+    build, valid = INTEGER_GATES[name]
+    assert build(Index(valid)) == build(valid)
+

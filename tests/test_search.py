@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -262,7 +263,22 @@ def test_survey_drops_torn_last_line(tmp_path):
     assert strip(logged(log)) == fresh
 
 
-@pytest.mark.parametrize("bad", [b"{not json", b"{}", b"[1, 2]", b'{"k_plus": 2}'])
+ROW_2_1_16 = '{"k_plus": 2, "k_minus": 1, "q": 16, "n": 5, "ruled_out": false, "triggered": [], "searched": true, "tilings": [[1, 3, 4, 5, 7]], "elapsed": 0.0}'
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [b"{not json", b"{}", b"[1, 2]", b'{"k_plus": 2}']
+    # a float or a bool in the key or a tiling used to be taken as it came:
+    # `"q": 16.0` matched the grid instance (2,1,16) and printed as 16.0
+    + [pytest.param(ROW_2_1_16.replace(old, new).encode(), id=name) for name, old, new in [
+        ("float-q", '"q": 16', '"q": 16.0'),
+        ("float-n", '"n": 5', '"n": 5.0'),
+        ("bool-k_minus", '"k_minus": 1', '"k_minus": true'),
+        ("float-tiling", "[[1, 3", "[[1.5, 3"),
+        ("bool-tiling", "[[1, 3", "[[true, 3"),
+    ]],
+)
 @pytest.mark.parametrize("position", [0, 3, -1])
 def test_survey_rejects_malformed_complete_line(capsys, tmp_path, bad, position):
     log = tmp_path / "progress.jsonl"
@@ -271,7 +287,8 @@ def test_survey_rejects_malformed_complete_line(capsys, tmp_path, bad, position)
     lines.insert(position if position >= 0 else len(lines), bad + b"\n")
     log.write_bytes(b"".join(lines))
     before = log.read_bytes()
-    with pytest.raises(ValueError, match="not a survey row"):
+    line = position + 1 if position >= 0 else len(lines)
+    with pytest.raises(ValueError, match=f"progress.jsonl, line {line}: not a survey row"):
         survey(k_max=2, q_max=40, progress_path=str(log))
     code = main(["survey", "--kmax", "2", "--qmax", "40", "--progress", str(log)])
     assert code == 2
@@ -304,6 +321,41 @@ def test_survey_killed_process_resumes(tmp_path):
     resumed = survey(k_max=3, q_max=70, prune_with_bounds=False, progress_path=str(log))
     assert strip(resumed) == strip(survey(k_max=3, q_max=70, prune_with_bounds=False))
     assert strip(logged(log)) == strip(resumed)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_survey_interrupted_by_sigint_exits_130_and_resumes(tmp_path, jobs):
+    # SIGINT as `timeout -s INT` sends it: to the survey process, then to
+    # its whole process group, workers included
+    log = tmp_path / "progress.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(search_mod.__file__).parents[1]))
+    argv = ["survey", "--kmax", "3", "--qmax", "70", "--no-prune", "--jobs", jobs]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quasicross", *argv, "--progress", str(log)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        # rows 1-19 take milliseconds, row 20, (2,1,64), about 0.4 s
+        deadline = time.monotonic() + 60
+        while proc.poll() is None and time.monotonic() < deadline:
+            if log.exists() and log.read_bytes().count(b"\n") >= 19:
+                break
+            time.sleep(0.002)
+        assert proc.poll() is None, "the survey ended before it could be interrupted"
+        os.kill(proc.pid, signal.SIGINT)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=60)
+    assert proc.returncode == 130
+    assert err == b"interrupted\n"
+    kept = log.read_bytes().count(b"\n")
+    assert 19 <= kept < len(list(survey_instances(3, 70)))
+    resumed = tmp_path / "resumed.csv"
+    assert main([*argv, "--progress", str(log), "--csv", str(resumed)]) == 0
+    assert resumed.read_text() == survey_csv(survey(k_max=3, q_max=70, prune_with_bounds=False))
 
 
 def test_survey_returns_only_its_grid_from_a_wider_log(tmp_path):
