@@ -8,7 +8,7 @@ arithmetic witness that triggered it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -94,8 +94,8 @@ def group_order_constraints(k_plus: int, k_minus: int, q: int) -> FeasibilityRep
     (2^w, 2^w - 1), q must be a power of 2^(w+1).
     """
     q = cyclic_group(q).order  # an integer >= 2, or ValueError
-    MultiplierSet(k_plus, k_minus)
-    span = k_plus + k_minus
+    arms = MultiplierSet(k_plus, k_minus)
+    k_plus, k_minus, span = arms.k_plus, arms.k_minus, len(arms)
     rules = []
     divisible = (q - 1) % span == 0
     n = (q - 1) // span if divisible else None
@@ -138,21 +138,23 @@ def _is_power_of(q: int, base: int) -> bool:
     return q == 1
 
 
-def _shape_rules(k_plus: int, k_minus: int, n: int) -> tuple[RuleCheck, ...]:
+def _shape_rules(shape: QuasiCrossShape) -> tuple[RuleCheck, ...]:
     """The dimension and negative-arm rules at dimension n >= 2."""
-    shape = QuasiCrossShape(k_plus, k_minus, n)
     dim = dimension_bound(shape)
     arm = negative_arm_bound(shape)
     return (
-        RuleCheck("dimension", dim.ruled_out, f"{dim.value} vs n = {n}"),
-        RuleCheck("negative-arm", arm.ruled_out, f"k_minus = {k_minus} vs n - 1 = {arm.limit}"),
+        RuleCheck("dimension", dim.ruled_out, f"{dim.value} vs n = {shape.n}"),
+        RuleCheck("negative-arm", arm.ruled_out, f"k_minus = {shape.k_minus} vs n - 1 = {arm.limit}"),
     )
 
 
 def shape_feasibility(k_plus: int, k_minus: int, n: int) -> FeasibilityReport:
     """The shape bounds alone at dimension n >= 2 (q is reported as 0)."""
-    rules = _shape_rules(k_plus, k_minus, n)
-    return FeasibilityReport(k_plus, k_minus, 0, n, any(r.ruled_out for r in rules), rules)
+    shape = QuasiCrossShape(k_plus, k_minus, n)
+    rules = _shape_rules(shape)
+    return FeasibilityReport(
+        shape.k_plus, shape.k_minus, 0, shape.n, any(r.ruled_out for r in rules), rules
+    )
 
 
 def instance_feasibility(k_plus: int, k_minus: int, q: int) -> FeasibilityReport:
@@ -161,6 +163,5 @@ def instance_feasibility(k_plus: int, k_minus: int, q: int) -> FeasibilityReport
     report = group_order_constraints(k_plus, k_minus, q)
     rules = report.rules
     if report.n is not None and report.n >= 2:
-        rules += _shape_rules(k_plus, k_minus, report.n)
-    ruled_out = any(r.ruled_out for r in rules)
-    return FeasibilityReport(k_plus, k_minus, q, report.n, ruled_out, rules)
+        rules += _shape_rules(QuasiCrossShape(report.k_plus, report.k_minus, report.n))
+    return replace(report, ruled_out=any(r.ruled_out for r in rules), rules=rules)

@@ -10,6 +10,7 @@ deterministic given identical flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import signal
 import sys
@@ -247,6 +248,7 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on the first call; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasicross",

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .groups import Element, FiniteAbelianGroup, is_prime
+from .groups import Element, FiniteAbelianGroup, integers, is_prime
 from .splitting import (
     MultiplierSet,
     Splitting,
@@ -36,14 +36,19 @@ from .splitting import (
 _PRIME_SCAN_CAP = 10_000_000
 
 
-def _check_arms(p: int, k_plus: int, k_minus: int) -> None:
+def _check_arms(p: int, ell: int, k_plus: int, k_minus: int) -> tuple[int, int, MultiplierSet]:
+    """p, ell and the arms as the ints they were checked as."""
+    p, ell = integers((p, ell), "p and ell")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    MultiplierSet(k_plus, k_minus)
-    if k_plus + k_minus != p - 1:
+    arms = MultiplierSet(k_plus, k_minus)
+    if len(arms) != p - 1:
         raise ValueError(
-            f"k_plus + k_minus must equal p - 1, got {k_plus}+{k_minus} != {p}-1"
+            f"k_plus + k_minus must equal p - 1, got {arms.k_plus}+{arms.k_minus} != {p}-1"
         )
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    return p, ell, arms
 
 
 def _verified(sp: Splitting) -> Splitting:
@@ -64,9 +69,7 @@ def cyclic_splitting(p: int, ell: int, k_plus: int, k_minus: int) -> Splitting:
     Built recursively: S_1 = {1}; S_{i+1} = p*S_i together with every
     residue congruent to 1 mod p.  Output sorted ascending.
     """
-    _check_arms(p, k_plus, k_minus)
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    p, ell, arms = _check_arms(p, ell, k_plus, k_minus)
     level = [1]
     for i in range(1, ell):
         modulus = p ** (i + 1)
@@ -74,7 +77,7 @@ def cyclic_splitting(p: int, ell: int, k_plus: int, k_minus: int) -> Splitting:
         assert len(level) == (modulus - 1) // (p - 1)  # |S_{i+1}| = |S_i| + p^i
     splitters = sorted(s % p**ell for s in level)
     assert len(splitters) == (p**ell - 1) // (p - 1)
-    sp = make_cyclic_splitting(p**ell, k_plus, k_minus, splitters)
+    sp = make_cyclic_splitting(p**ell, arms.k_plus, arms.k_minus, splitters)
     return _verified(sp)
 
 
@@ -84,11 +87,9 @@ def field_splitting(p: int, ell: int, k_plus: int, k_minus: int) -> Splitting:
     vector whose topmost nonzero entry is 1.  Output sorted
     lexicographically.  The base {1} tiles Z_p by counting, so only the
     lift is scanned."""
-    _check_arms(p, k_plus, k_minus)
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    p, ell, arms = _check_arms(p, ell, k_plus, k_minus)
     columns = sorted(_lifted_columns((1,), p, ell))
-    sp = Splitting(FiniteAbelianGroup((p,) * ell), MultiplierSet(k_plus, k_minus), tuple(columns))
+    sp = Splitting(FiniteAbelianGroup((p,) * ell), arms, tuple(columns))
     return _verified(sp)
 
 
@@ -100,6 +101,7 @@ def two_one_splitting(ell: int) -> Splitting:
     S' and -S' partition the odd residues and gives the size recurrence
     |S_{i+1}| = |S_i| + 4^i.
     """
+    [ell] = integers([ell], "ell")
     if ell < 1:
         raise ValueError("ell must be >= 1")
     level = [1]
@@ -139,6 +141,7 @@ def matrix_extension(base: Splitting, k: int) -> Splitting:
     """
     if not base.group.is_cyclic_form:
         raise ValueError("matrix_extension needs a base splitting of a cyclic group")
+    [k] = integers([k], "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     v = base.group.orders[0]
@@ -187,7 +190,7 @@ def balance_family(numerator: int, denominator: int, index: int) -> BalanceFamil
     direct primality testing; the scaling factor t = (p-1)/(a+b) gives
     arms (t*denominator, t*numerator) and Z_p splits with S = {1}.
     """
-    a, b = numerator, denominator
+    a, b, index = integers((numerator, denominator, index), "the arm ratio and index")
     if not 0 < a < b:
         raise ValueError(f"arm ratio must satisfy 0 < a/b < 1, got {a}/{b}")
     if gcd(a, b) != 1:

@@ -3,13 +3,22 @@ full parameter survey.
 
 The search is an exact-cover backtracking over Z_q: every chosen
 splitter s must cover the block {m*s : m in M} of so-far-uncovered
-nonzero residues, and the branch variable is always the smallest
-uncovered residue (it has to be covered by something, so its candidate
-list is complete).  Coverage is tracked in a single bitmask, which keeps
-the full survey (arms up to 10, orders up to 100) in the seconds range.
+nonzero residues.  Coverage is tracked in a single bitmask.  Two rules
+keep the full survey (arms up to 10, orders up to 100) under a second:
 
-Searching cyclic groups suffices for nonexistence results: any group
-split by M yields a splitting of the cyclic group of the same order.
+* 1 is fixed in S.  The splitter whose block covers 1 is a unit s, and
+  s^-1 * S is a tiling that contains 1, so every unit-scaling orbit has
+  members holding 1 and the search enumerates only those.  The rest of
+  an orbit is rebuilt by scaling, never searched for.
+* The branch variable is the uncovered residue with the fewest live
+  candidates (blocks still disjoint from the covered set): Knuth's
+  most-constrained-first rule from "Dancing Links".  A residue with no
+  live candidate ends the branch at once, and since every residue must
+  be covered, branching on any one of them loses no solution.
+
+Unproven: that any group split by M yields a splitting of the cyclic
+group of the same order, which would make searching cyclic groups
+enough for nonexistence results in every abelian group.
 """
 
 from __future__ import annotations
@@ -56,15 +65,12 @@ def _cover_blocks(q: int, multipliers: MultiplierSet):
     return blocks, candidates
 
 
+def _scaled(q: int, u: int, values) -> tuple[int, ...]:
+    return tuple(sorted(u * s % q for s in values))
+
+
 def _orbit_min(q: int, values: tuple[int, ...]) -> tuple[int, ...]:
-    best = None
-    for u in range(1, q):
-        if gcd(u, q) != 1:
-            continue
-        cand = tuple(sorted((u * s) % q for s in values))
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(_scaled(q, u, values) for u in range(1, q) if gcd(u, q) == 1)
 
 
 def unit_orbit_canonical(sp: Splitting) -> Splitting:
@@ -105,7 +111,9 @@ def search_tilings(
     full = (1 << q) - 2  # residues 1..q-1
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     solutions: list[tuple[int, ...]] = []
-    chosen: list[int] = []
+    # 1 is fixed in S (see the module docstring).  It has a block: span | q-1
+    # gives q > span, so the multipliers are distinct nonzero residues.
+    chosen: list[int] = [1]
 
     def dfs(covered: int) -> bool:
         if deadline is not None and time.monotonic() > deadline:
@@ -115,24 +123,41 @@ def search_tilings(
         if covered == full:
             solutions.append(tuple(sorted(chosen)))
             return not find_all
+        # branch on the uncovered residue with the fewest live candidates
         rem = (~covered) & full
-        e = (rem & -rem).bit_length() - 1
-        for s in candidates[e]:
-            b = blocks[s]
-            if b & covered:
-                continue
+        best = None
+        while rem:
+            low = rem & -rem
+            live = [s for s in candidates[low.bit_length() - 1] if not blocks[s] & covered]
+            if best is None or len(live) < len(best):
+                best = live
+                if len(live) < 2:
+                    break
+            rem ^= low
+        for s in best:
             chosen.append(s)
-            stop = dfs(covered | b)
+            stop = dfs(covered | blocks[s])
             chosen.pop()
             if stop:
                 return True
         return False
 
-    dfs(0)
+    dfs(blocks[1])
     if dedupe:
-        canonical = sorted({_orbit_min(q, sol) for sol in solutions})
+        # the members of an orbit that hold 1 are s^-1 * S for the units s
+        # of S; the search finds all of them, so canonicalise only the first
+        seen: set[tuple[int, ...]] = set()
+        classes = []
+        for sol in solutions:
+            if sol not in seen:
+                classes.append(_orbit_min(q, sol))
+                seen.update(_scaled(q, pow(s, -1, q), sol) for s in sol if gcd(s, q) == 1)
+        canonical = sorted(classes)
+    elif find_all:
+        units = [u for u in range(1, q) if gcd(u, q) == 1]
+        canonical = sorted({_scaled(q, u, sol) for sol in solutions for u in units})
     else:
-        canonical = sorted(solutions)
+        canonical = solutions
     out = []
     for values in canonical:
         sp = make_cyclic_splitting(q, k_plus, k_minus, values)

@@ -108,3 +108,49 @@ def first_unit_pivots(splitters, modulus):
         if gcd(int(det), modulus) == 1:
             return subset
     return None
+
+
+def reference_search(k_plus: int, k_minus: int, q: int, find_all: bool = True):
+    """Every splitter set of Z_q for the arms, sorted, in the order found
+    (only the first with find_all=False): an exact-cover search that
+    branches on the smallest uncovered residue and fixes no splitter."""
+    ms = multiplier_list(k_plus, k_minus)
+    if (q - 1) % len(ms) != 0:
+        return []
+    blocks: dict[int, int] = {}
+    candidates: list[list[int]] = [[] for _ in range(q)]
+    for s in range(1, q):
+        prods = {(m * s) % q for m in ms}
+        if 0 in prods or len(prods) != len(ms):
+            continue
+        blocks[s] = sum(1 << p for p in prods)
+        for p in prods:
+            candidates[p].append(s)
+    full = (1 << q) - 2  # residues 1..q-1
+    solutions: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def dfs(covered: int) -> bool:
+        if covered == full:
+            solutions.append(tuple(sorted(chosen)))
+            return not find_all
+        rem = (~covered) & full
+        e = (rem & -rem).bit_length() - 1
+        for s in candidates[e]:
+            b = blocks[s]
+            if b & covered:
+                continue
+            chosen.append(s)
+            stop = dfs(covered | b)
+            chosen.pop()
+            if stop:
+                return True
+        return False
+
+    dfs(0)
+    return solutions
+
+
+def orbit_min(q: int, values) -> tuple[int, ...]:
+    """The smallest sorted tuple u*values mod q over the units u of Z_q."""
+    return min(tuple(sorted(u * s % q for s in values)) for u in range(1, q) if gcd(u, q) == 1)

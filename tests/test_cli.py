@@ -8,7 +8,7 @@ import pytest
 
 from quasicross import from_json, to_json, make_cyclic_splitting
 from quasicross import search as search_mod
-from quasicross.cli import main
+from quasicross.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +217,24 @@ def test_cli_deterministic_output(capsys, z17_json):
     _, sv1, _ = run_cli(capsys, "survey", "--kmax", "2", "--qmax", "20")
     _, sv2, _ = run_cli(capsys, "survey", "--kmax", "2", "--qmax", "20")
     assert sv1 == sv2
+
+
+def test_main_calls_share_one_parser_and_keep_its_defaults(capsys, tmp_path, z17_json):
+    # Z_4 with S = {1} has no free coordinate, so `encode` takes the
+    # default `--info` list; a command that mutated it would change the
+    # next call through the shared parser
+    z4 = tmp_path / "z4.json"
+    z4.write_text(to_json(make_cyclic_splitting(4, 2, 1, [1])), encoding="utf-8")
+    bare = ("encode", "--code", str(z4), "--levels", "4", "--t", "0")
+    with_info = ("encode", "--code", z17_json, "--levels", "17", "--info", "2", "--t", "0")
+    build_parser()
+    before = build_parser.cache_info()
+    outputs = [run_cli(capsys, *argv) for argv in (bare, with_info, bare, with_info)]
+    after = build_parser.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 4)
+    assert outputs[0] == outputs[2] == (0, "0\n", "")
+    assert outputs[1] == outputs[3] == (0, "8 2\n", "")
+    assert build_parser().parse_args(list(bare)).info == []
 
 
 def test_json_round_trip_through_cli(capsys):

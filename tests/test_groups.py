@@ -10,11 +10,19 @@ from quasicross import (
     IntegerLattice,
     MultiplierSet,
     QuasiCrossShape,
+    balance_family,
     cyclic_group,
+    cyclic_splitting,
+    field_splitting,
+    group_order_constraints,
+    instance_feasibility,
     is_prime,
     make_cyclic_splitting,
+    mixed_splitting,
     search_tilings,
+    two_one_splitting,
 )
+from quasicross.bounds import shape_feasibility
 from quasicross.groups import prime_factors
 
 import oracles
@@ -131,6 +139,18 @@ INTEGER_GATES = {
     "contains": (lambda x: IntegerLattice([[2, 0], [1, 3]]).contains([x, 0]), 2),
     "search_tilings": (lambda x: search_tilings(2, 1, x), 16),
     "make_cyclic_splitting": (lambda x: make_cyclic_splitting(17, 3, 2, [x, 13]), 1),
+    # the rules and the constructions used to validate an __index__ number
+    # and then compute with it: group_order_constraints(I(2), I(1), 16) and
+    # cyclic_splitting(5, I(2), I(3), I(1)) raised TypeError
+    "group_order_constraints": (lambda x: group_order_constraints(x, 1, 16), 2),
+    "instance_feasibility": (lambda x: instance_feasibility(3, x, 25), 1),
+    "shape_feasibility": (lambda x: shape_feasibility(3, 1, x), 6),
+    "cyclic_splitting_arms": (lambda x: cyclic_splitting(5, 2, x, 1), 3),
+    "cyclic_splitting_ell": (lambda x: cyclic_splitting(5, x, 3, 1), 2),
+    "field_splitting": (lambda x: field_splitting(x, 2, 3, 1), 5),
+    "two_one_splitting": (lambda x: two_one_splitting(x), 2),
+    "mixed_splitting": (lambda x: mixed_splitting(5, 1, 3, 1, x), 2),
+    "balance_family": (lambda x: balance_family(1, 2, x), 1),
 }
 
 
@@ -149,4 +169,9 @@ def test_constructors_reject_non_integers(name, bad):
 def test_constructors_accept_and_store_index_integers(name):
     build, valid = INTEGER_GATES[name]
     assert build(Index(valid)) == build(valid)
+
+
+def test_index_arms_build_what_int_arms_build():
+    assert cyclic_splitting(5, Index(2), Index(3), Index(1)) == cyclic_splitting(5, 2, 3, 1)
+    assert group_order_constraints(Index(2), Index(1), 16) == group_order_constraints(2, 1, 16)
 

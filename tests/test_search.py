@@ -13,6 +13,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasicross import (
     SearchTimeout,
@@ -91,6 +93,50 @@ def test_search_first_only():
     found = search_tilings(2, 1, 64, find_all=False)
     assert len(found) == 1
     assert is_tiling(found[0])
+
+
+@st.composite
+def instances(draw, k_max=6, q_max=60):
+    """Arms up to k_max and an order q <= q_max, mostly one that
+    k_plus + k_minus divides q - 1 for."""
+    k_plus = draw(st.integers(2, k_max))
+    k_minus = draw(st.integers(1, k_plus - 1))
+    span = k_plus + k_minus
+    divisible = st.integers(1, (q_max - 1) // span).map(lambda n: n * span + 1)
+    q = draw(st.one_of(st.integers(2, q_max), divisible))
+    return k_plus, k_minus, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances())
+def test_search_matches_the_smallest_residue_reference(instance):
+    # the reference fixes no splitter and branches on the smallest
+    # uncovered residue; every output must equal what it implies
+    k_plus, k_minus, q = instance
+    raw = oracles.reference_search(k_plus, k_minus, q)
+    values = lambda found: [sp.splitter_values() for sp in found]
+    classes = values(search_tilings(k_plus, k_minus, q))
+    assert classes == sorted({oracles.orbit_min(q, sol) for sol in raw})
+    assert values(search_tilings(k_plus, k_minus, q, dedupe=False)) == sorted(raw)
+    first = values(search_tilings(k_plus, k_minus, q, find_all=False))
+    assert len(first) == min(1, len(classes)) and set(first) <= set(classes)
+
+
+# pruned-survey instances with 100 < q <= 200 that the smallest-residue
+# search (`oracles.reference_search`) does not decide within 30 s
+UNDECIDED_AT_30S = [(3, 1, 181), (3, 1, 193), (3, 1, 197), (4, 2, 199), (3, 1, 185), (3, 2, 171)]
+
+
+@pytest.mark.parametrize("k_plus,k_minus,q", UNDECIDED_AT_30S)
+def test_search_decides_former_timeouts_without_a_tiling(k_plus, k_minus, q):
+    assert search_tilings(k_plus, k_minus, q, time_limit=30) == []
+
+
+def test_search_31_q173_is_the_fourth_power_residues():
+    # the one class is the orbit of the fourth powers mod 173
+    found = search_tilings(3, 1, 173, time_limit=30)
+    fourth_powers = {pow(x, 4, 173) for x in range(1, 173)}
+    assert [sp.splitter_values() for sp in found] == [oracles.orbit_min(173, fourth_powers)]
 
 
 def test_search_timeout():
@@ -301,25 +347,25 @@ def test_survey_killed_process_resumes(tmp_path):
     # already flushed survive, and the kill may tear the line being written
     log = tmp_path / "progress.jsonl"
     env = dict(os.environ, PYTHONPATH=str(Path(search_mod.__file__).parents[1]))
-    argv = ["survey", "--kmax", "3", "--qmax", "70", "--no-prune"]
+    argv = ["survey", "--kmax", "2", "--qmax", "100", "--no-prune"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "quasicross", *argv, "--progress", str(log)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     try:
-        # rows 1-19 take milliseconds, row 20, (2,1,64), about 0.4 s
+        # rows 1-31 take milliseconds, the last, (2,1,100), about 0.3 s
         deadline = time.monotonic() + 60
         while proc.poll() is None and time.monotonic() < deadline:
-            if log.exists() and log.read_bytes().count(b"\n") >= 19:
+            if log.exists() and log.read_bytes().count(b"\n") >= 31:
                 break
             time.sleep(0.002)
         assert proc.poll() is None, "the survey ended before it could be killed"
     finally:
         proc.kill()  # SIGKILL
         proc.wait(timeout=60)
-    assert log.read_bytes().count(b"\n") >= 19
-    resumed = survey(k_max=3, q_max=70, prune_with_bounds=False, progress_path=str(log))
-    assert strip(resumed) == strip(survey(k_max=3, q_max=70, prune_with_bounds=False))
+    assert log.read_bytes().count(b"\n") >= 31
+    resumed = survey(k_max=2, q_max=100, prune_with_bounds=False, progress_path=str(log))
+    assert strip(resumed) == strip(survey(k_max=2, q_max=100, prune_with_bounds=False))
     assert strip(logged(log)) == strip(resumed)
 
 
@@ -329,16 +375,16 @@ def test_survey_interrupted_by_sigint_exits_130_and_resumes(tmp_path, jobs):
     # its whole process group, workers included
     log = tmp_path / "progress.jsonl"
     env = dict(os.environ, PYTHONPATH=str(Path(search_mod.__file__).parents[1]))
-    argv = ["survey", "--kmax", "3", "--qmax", "70", "--no-prune", "--jobs", jobs]
+    argv = ["survey", "--kmax", "2", "--qmax", "100", "--no-prune", "--jobs", jobs]
     proc = subprocess.Popen(
         [sys.executable, "-m", "quasicross", *argv, "--progress", str(log)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
     )
     try:
-        # rows 1-19 take milliseconds, row 20, (2,1,64), about 0.4 s
+        # rows 1-31 take milliseconds, the last, (2,1,100), about 0.3 s
         deadline = time.monotonic() + 60
         while proc.poll() is None and time.monotonic() < deadline:
-            if log.exists() and log.read_bytes().count(b"\n") >= 19:
+            if log.exists() and log.read_bytes().count(b"\n") >= 31:
                 break
             time.sleep(0.002)
         assert proc.poll() is None, "the survey ended before it could be interrupted"
@@ -352,10 +398,10 @@ def test_survey_interrupted_by_sigint_exits_130_and_resumes(tmp_path, jobs):
     assert proc.returncode == 130
     assert err == b"interrupted\n"
     kept = log.read_bytes().count(b"\n")
-    assert 19 <= kept < len(list(survey_instances(3, 70)))
+    assert 31 <= kept < len(list(survey_instances(2, 100)))
     resumed = tmp_path / "resumed.csv"
     assert main([*argv, "--progress", str(log), "--csv", str(resumed)]) == 0
-    assert resumed.read_text() == survey_csv(survey(k_max=3, q_max=70, prune_with_bounds=False))
+    assert resumed.read_text() == survey_csv(survey(k_max=2, q_max=100, prune_with_bounds=False))
 
 
 def test_survey_returns_only_its_grid_from_a_wider_log(tmp_path):
