@@ -3,7 +3,8 @@ full parameter survey.
 
 The search is an exact-cover backtracking over Z_q: every chosen
 splitter s must cover the block {m*s : m in M} of so-far-uncovered
-nonzero residues.  Coverage is tracked in a single bitmask.  Two rules
+nonzero residues.  The covered residues and the still-live splitters
+(blocks disjoint from the covered set) are each one bitmask.  Two rules
 keep the full survey (arms up to 10, orders up to 100) under a second:
 
 * 1 is fixed in S.  The splitter whose block covers 1 is a unit s, and
@@ -27,8 +28,10 @@ import json
 import time
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass
+from functools import cache, reduce
 from io import StringIO
 from math import gcd
+from operator import or_
 
 from .bounds import instance_feasibility
 from .groups import cyclic_group
@@ -46,23 +49,22 @@ class SearchTimeout(Exception):
 
 
 def _cover_blocks(q: int, multipliers: MultiplierSet):
-    """Per-splitter coverage bitmasks and, per residue, the candidate
-    splitters whose block contains it.  Splitters whose products collide
-    or hit zero are dropped up front."""
+    """Per-splitter coverage bitmasks over the residues and, per residue,
+    the bitmask of the splitters whose block contains it.  Splitters whose
+    products collide or hit zero are dropped up front."""
     span = len(multipliers)
     blocks: dict[int, int] = {}
-    candidates: list[list[int]] = [[] for _ in range(q)]
+    holders = [0] * q
     for s in range(1, q):
         prods = {(m * s) % q for m in multipliers}
         if 0 in prods or len(prods) != span:
             continue
-        mask = 0
+        mask, bit = 0, 1 << s
         for p in prods:
             mask |= 1 << p
+            holders[p] |= bit
         blocks[s] = mask
-        for p in prods:
-            candidates[p].append(s)
-    return blocks, candidates
+    return blocks, holders
 
 
 def _scaled(q: int, u: int, values) -> tuple[int, ...]:
@@ -107,7 +109,7 @@ def search_tilings(
     q = cyclic_group(q).order  # an integer >= 2, or ValueError
     if (q - 1) % span != 0:
         return []
-    blocks, candidates = _cover_blocks(q, multipliers)
+    blocks, holders = _cover_blocks(q, multipliers)
     full = (1 << q) - 2  # residues 1..q-1
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     solutions: list[tuple[int, ...]] = []
@@ -115,7 +117,14 @@ def search_tilings(
     # gives q > span, so the multipliers are distinct nonzero residues.
     chosen: list[int] = [1]
 
-    def dfs(covered: int) -> bool:
+    @cache
+    def clashes(s: int) -> int:
+        # the splitters whose blocks meet the block of s, s included; built
+        # on first use, as the median grid instance chooses 3% of its splitters
+        return reduce(or_, (holders[m * s % q] for m in multipliers))
+
+    def dfs(covered: int, live: int) -> bool:
+        # live: the splitters whose blocks are disjoint from covered
         if deadline is not None and time.monotonic() > deadline:
             raise SearchTimeout(
                 f"search ({k_plus},{k_minus}) over Z_{q} exceeded {time_limit}s"
@@ -125,24 +134,28 @@ def search_tilings(
             return not find_all
         # branch on the uncovered residue with the fewest live candidates
         rem = (~covered) & full
-        best = None
+        fewest = q
         while rem:
             low = rem & -rem
-            live = [s for s in candidates[low.bit_length() - 1] if not blocks[s] & covered]
-            if best is None or len(live) < len(best):
-                best = live
-                if len(live) < 2:
+            options = holders[low.bit_length() - 1] & live
+            count = options.bit_count()
+            if count < fewest:
+                fewest, best = count, options
+                if count < 2:
                     break
             rem ^= low
-        for s in best:
+        while best:
+            low = best & -best
+            s = low.bit_length() - 1
             chosen.append(s)
-            stop = dfs(covered | blocks[s])
+            stop = dfs(covered | blocks[s], live & ~clashes(s))
             chosen.pop()
             if stop:
                 return True
+            best ^= low
         return False
 
-    dfs(blocks[1])
+    dfs(blocks[1], ((1 << q) - 1) & ~clashes(1))
     if dedupe:
         # the members of an orbit that hold 1 are s^-1 * S for the units s
         # of S; the search finds all of them, so canonicalise only the first

@@ -147,6 +147,7 @@ INTEGER_GATES = {
     "shape_feasibility": (lambda x: shape_feasibility(3, 1, x), 6),
     "cyclic_splitting_arms": (lambda x: cyclic_splitting(5, 2, x, 1), 3),
     "cyclic_splitting_ell": (lambda x: cyclic_splitting(5, x, 3, 1), 2),
+    "cyclic_splitting_all_index": (lambda x: cyclic_splitting(5, Index(2), Index(3), x), 1),
     "field_splitting": (lambda x: field_splitting(x, 2, 3, 1), 5),
     "two_one_splitting": (lambda x: two_one_splitting(x), 2),
     "mixed_splitting": (lambda x: mixed_splitting(5, 1, 3, 1, x), 2),
@@ -169,9 +170,3 @@ def test_constructors_reject_non_integers(name, bad):
 def test_constructors_accept_and_store_index_integers(name):
     build, valid = INTEGER_GATES[name]
     assert build(Index(valid)) == build(valid)
-
-
-def test_index_arms_build_what_int_arms_build():
-    assert cyclic_splitting(5, Index(2), Index(3), Index(1)) == cyclic_splitting(5, 2, 3, 1)
-    assert group_order_constraints(Index(2), Index(1), 16) == group_order_constraints(2, 1, 16)
-

@@ -347,13 +347,13 @@ def test_survey_killed_process_resumes(tmp_path):
     # already flushed survive, and the kill may tear the line being written
     log = tmp_path / "progress.jsonl"
     env = dict(os.environ, PYTHONPATH=str(Path(search_mod.__file__).parents[1]))
-    argv = ["survey", "--kmax", "2", "--qmax", "100", "--no-prune"]
+    argv = ["survey", "--kmax", "3", "--qmax", "100", "--no-prune"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "quasicross", *argv, "--progress", str(log)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     try:
-        # rows 1-31 take milliseconds, the last, (2,1,100), about 0.3 s
+        # rows 1-31 take milliseconds, row 32, (2,1,100), about 0.3 s
         deadline = time.monotonic() + 60
         while proc.poll() is None and time.monotonic() < deadline:
             if log.exists() and log.read_bytes().count(b"\n") >= 31:
@@ -364,8 +364,8 @@ def test_survey_killed_process_resumes(tmp_path):
         proc.kill()  # SIGKILL
         proc.wait(timeout=60)
     assert log.read_bytes().count(b"\n") >= 31
-    resumed = survey(k_max=2, q_max=100, prune_with_bounds=False, progress_path=str(log))
-    assert strip(resumed) == strip(survey(k_max=2, q_max=100, prune_with_bounds=False))
+    resumed = survey(k_max=3, q_max=100, prune_with_bounds=False, progress_path=str(log))
+    assert strip(resumed) == strip(survey(k_max=3, q_max=100, prune_with_bounds=False))
     assert strip(logged(log)) == strip(resumed)
 
 
@@ -375,13 +375,13 @@ def test_survey_interrupted_by_sigint_exits_130_and_resumes(tmp_path, jobs):
     # its whole process group, workers included
     log = tmp_path / "progress.jsonl"
     env = dict(os.environ, PYTHONPATH=str(Path(search_mod.__file__).parents[1]))
-    argv = ["survey", "--kmax", "2", "--qmax", "100", "--no-prune", "--jobs", jobs]
+    argv = ["survey", "--kmax", "3", "--qmax", "100", "--no-prune", "--jobs", jobs]
     proc = subprocess.Popen(
         [sys.executable, "-m", "quasicross", *argv, "--progress", str(log)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
     )
     try:
-        # rows 1-31 take milliseconds, the last, (2,1,100), about 0.3 s
+        # rows 1-31 take milliseconds, row 32, (2,1,100), about 0.3 s
         deadline = time.monotonic() + 60
         while proc.poll() is None and time.monotonic() < deadline:
             if log.exists() and log.read_bytes().count(b"\n") >= 31:
@@ -398,10 +398,10 @@ def test_survey_interrupted_by_sigint_exits_130_and_resumes(tmp_path, jobs):
     assert proc.returncode == 130
     assert err == b"interrupted\n"
     kept = log.read_bytes().count(b"\n")
-    assert 31 <= kept < len(list(survey_instances(2, 100)))
+    assert 31 <= kept < len(list(survey_instances(3, 100)))
     resumed = tmp_path / "resumed.csv"
     assert main([*argv, "--progress", str(log), "--csv", str(resumed)]) == 0
-    assert resumed.read_text() == survey_csv(survey(k_max=2, q_max=100, prune_with_bounds=False))
+    assert resumed.read_text() == survey_csv(survey(k_max=3, q_max=100, prune_with_bounds=False))
 
 
 def test_survey_returns_only_its_grid_from_a_wider_log(tmp_path):
