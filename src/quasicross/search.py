@@ -4,9 +4,18 @@ full parameter survey.
 The search is an exact-cover backtracking over Z_q: every chosen
 splitter s must cover the block {m*s : m in M} of so-far-uncovered
 nonzero residues.  The covered residues and the still-live splitters
-(blocks disjoint from the covered set) are each one bitmask.  Two rules
-keep the full survey (arms up to 10, orders up to 100) under a second:
+(blocks disjoint from the covered set) are each one bitmask.
 
+* The gcd classes (Hickerson, "Splittings of finite groups", 1983).
+  Let u be the part of q made of its primes above k_plus, and
+  C_d = {r in [1, q) : gcd(r, u) = d} for d | u.  No multiplier has a
+  prime above k_plus, so each is a unit mod u and gcd(m*s, u) =
+  gcd(s, u): every block lies in one class.  So the tilings of Z_q are
+  exactly the unions of one cover of each class, and each class is
+  searched on its own.  By CRT, r <-> (r mod q/u, r mod u), so |C_d| =
+  (q/u) * phi(u/d), less 1 for d = u (zero is excluded).  A tiling needs
+  k_plus + k_minus to divide every |C_d|, a test made before any O(q)
+  set-up; with u = q it is k_plus + k_minus | p - 1 for each prime p | q.
 * 1 is fixed in S.  The splitter whose block covers 1 is a unit s, and
   s^-1 * S is a tiling that contains 1, so every unit-scaling orbit has
   members holding 1 and the search enumerates only those.  The rest of
@@ -30,11 +39,12 @@ from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from functools import cache, reduce
 from io import StringIO
+from itertools import chain, product
 from math import gcd
 from operator import or_
 
 from .bounds import instance_feasibility
-from .groups import cyclic_group
+from .groups import cyclic_group, prime_factors
 from .splitting import (
     MultiplierSet,
     Splitting,
@@ -87,6 +97,20 @@ def unit_orbit_canonical(sp: Splitting) -> Splitting:
     return make_cyclic_splitting(q, sp.multipliers.k_plus, sp.multipliers.k_minus, best)
 
 
+def _class_sizes(q: int, k_plus: int) -> tuple[int, dict[int, int]]:
+    """The part u of q made of its primes above k_plus, and |C_d| for each
+    d | u in closed form (see the module docstring)."""
+    u, phi = 1, {1: 1}  # each divisor e of u -> phi(e)
+    for p in prime_factors(q):
+        if p > k_plus:
+            powers, pi = dict(phi), 1
+            while q % (u * pi * p) == 0:
+                pi *= p
+                powers.update({e * pi: f * (pi - pi // p) for e, f in phi.items()})
+            u, phi = u * pi, powers
+    return u, {u // e: q // u * f - (e == 1) for e, f in phi.items()}
+
+
 def search_tilings(
     k_plus: int,
     k_minus: int,
@@ -102,20 +126,32 @@ def search_tilings(
     (so it contains 1 and is sorted); without it, every raw splitter set
     is returned, which exposes full orbit sizes.  find_all=False stops
     at the first solution.  Returns [] when k_plus+k_minus does not
-    divide q-1 (no tiling can exist by counting).
+    divide the size of every gcd class (no tiling can exist by counting;
+    see the module docstring).
     """
+    deadline = time.monotonic() + time_limit if time_limit is not None else None
     multipliers = MultiplierSet(k_plus, k_minus)
     span = len(multipliers)
     q = cyclic_group(q).order  # an integer >= 2, or ValueError
-    if (q - 1) % span != 0:
+
+    def check_clock() -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchTimeout(f"search ({k_plus},{k_minus}) over Z_{q} exceeded {time_limit}s")
+
+    u, sizes = _class_sizes(q, multipliers.k_plus)
+    check_clock()
+    if any(size % span for size in sizes.values()):
         return []
     blocks, holders = _cover_blocks(q, multipliers)
+    residues = {d: 0 for d, size in sizes.items() if size}  # d -> C_d as a bitmask
+    for r in range(1, q):
+        residues[gcd(r, u)] |= 1 << r
     full = (1 << q) - 2  # residues 1..q-1
-    deadline = time.monotonic() + time_limit if time_limit is not None else None
-    solutions: list[tuple[int, ...]] = []
-    # 1 is fixed in S (see the module docstring).  It has a block: span | q-1
-    # gives q > span, so the multipliers are distinct nonzero residues.
-    chosen: list[int] = [1]
+    # 1 is fixed in S (see the module docstring).  It has a block: span
+    # divides the class sizes, which sum to q-1, so q > span and the
+    # multipliers are distinct nonzero residues.
+    chosen: list[int] = []
+    covers: list[list[tuple[int, ...]]] = []  # per class, its covers
 
     @cache
     def clashes(s: int) -> int:
@@ -125,12 +161,9 @@ def search_tilings(
 
     def dfs(covered: int, live: int) -> bool:
         # live: the splitters whose blocks are disjoint from covered
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchTimeout(
-                f"search ({k_plus},{k_minus}) over Z_{q} exceeded {time_limit}s"
-            )
+        check_clock()
         if covered == full:
-            solutions.append(tuple(sorted(chosen)))
+            covers[-1].append(tuple(chosen))
             return not find_all
         # branch on the uncovered residue with the fewest live candidates
         rem = (~covered) & full
@@ -155,7 +188,13 @@ def search_tilings(
             best ^= low
         return False
 
-    dfs(blocks[1], ((1 << q) - 1) & ~clashes(1))
+    live = ((1 << q) - 1) & ~clashes(1)
+    for d in sorted(residues):  # C_1 first; the other classes start out covered
+        covers.append([])
+        dfs(full & ~residues[d] | blocks[1], live)
+        if not covers[-1]:
+            return []
+    solutions = [tuple(sorted((1, *chain(*parts)))) for parts in product(*covers)]
     if dedupe:
         # the members of an orbit that hold 1 are s^-1 * S for the units s
         # of S; the search finds all of them, so canonicalise only the first

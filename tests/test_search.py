@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import types
+from collections import Counter
 from math import gcd
 from pathlib import Path
 
@@ -107,12 +108,9 @@ def instances(draw, k_max=6, q_max=60):
     return k_plus, k_minus, q
 
 
-@settings(max_examples=300, deadline=None)
-@given(instances())
-def test_search_matches_the_smallest_residue_reference(instance):
-    # the reference fixes no splitter and branches on the smallest
-    # uncovered residue; every output must equal what it implies
-    k_plus, k_minus, q = instance
+def assert_matches_reference(k_plus, k_minus, q):
+    # the reference fixes no splitter, branches on the smallest uncovered
+    # residue and ignores the gcd classes; every output must equal what it implies
     raw = oracles.reference_search(k_plus, k_minus, q)
     values = lambda found: [sp.splitter_values() for sp in found]
     classes = values(search_tilings(k_plus, k_minus, q))
@@ -120,6 +118,47 @@ def test_search_matches_the_smallest_residue_reference(instance):
     assert values(search_tilings(k_plus, k_minus, q, dedupe=False)) == sorted(raw)
     first = values(search_tilings(k_plus, k_minus, q, find_all=False))
     assert len(first) == min(1, len(classes)) and set(first) <= set(classes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances())
+def test_search_matches_the_smallest_residue_reference(instance):
+    assert_matches_reference(*instance)
+
+
+def big_part(q, k_plus):
+    """u: q with every prime factor up to k_plus divided out."""
+    for p in range(2, k_plus + 1):
+        while q % p == 0:
+            q //= p
+    return q
+
+
+@pytest.mark.parametrize("k_plus", range(2, 11))
+def test_each_block_lies_in_one_gcd_class(k_plus):
+    # the largest multiplier set for k_plus; every grid arm pair's is a subset
+    ms = oracles.multiplier_list(k_plus, k_plus - 1)
+    for q in range(2, 201):
+        u = big_part(q, k_plus)
+        for s in range(1, q):
+            assert {gcd(m * s % q, u) for m in ms} == {gcd(s, u)}
+
+
+@pytest.mark.parametrize("k_plus", range(2, 11))
+def test_class_sizes_match_a_count(k_plus):
+    for q in range(2, 201):
+        u = big_part(q, k_plus)
+        counted = Counter(gcd(r, u) for r in range(1, q))
+        assert search_mod._class_sizes(q, k_plus) == (
+            u, {d: counted[d] for d in range(1, u + 1) if u % d == 0}
+        )
+
+
+@pytest.mark.parametrize("k_plus,k_minus,q", [(3, 1, 25), (4, 2, 49), (5, 1, 49), (2, 1, 76), (2, 1, 100)])
+def test_search_matches_the_reference_across_classes(k_plus, k_minus, q):
+    _, sizes = search_mod._class_sizes(q, k_plus)
+    assert sum(1 for size in sizes.values() if size) >= 2
+    assert_matches_reference(k_plus, k_minus, q)
 
 
 # pruned-survey instances with 100 < q <= 200 that the smallest-residue
@@ -142,6 +181,22 @@ def test_search_31_q173_is_the_fourth_power_residues():
 def test_search_timeout():
     with pytest.raises(SearchTimeout):
         search_tilings(2, 1, 100, time_limit=1e-9)
+
+
+def test_search_rules_out_a_huge_order_before_allocating():
+    # q = 10^8 = 2^8 * 5^8: the residues r with gcd(r, 5^8) = 5^7 number
+    # 2^8 * phi(5) = 1024, not a multiple of 3, so no O(q) set-up runs.  The
+    # address-space limit keeps a regression from taking the machine's memory.
+    import resource
+
+    limit = 512 << 20
+    env = dict(os.environ, PYTHONPATH=str(Path(search_mod.__file__).parents[1]))
+    argv = ["search", "--kplus", "2", "--kminus", "1", "--q", "100000000", "--time-limit", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasicross", *argv], env=env, capture_output=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0 canonical tiling(s)\n", b"")
 
 
 def test_search_results_satisfy_group_theorems():
@@ -342,23 +397,34 @@ def test_survey_rejects_malformed_complete_line(capsys, tmp_path, bad, position)
     assert log.read_bytes() == before
 
 
+def held_survey(tmp_path, argv, **popen):
+    """A `survey` child process that holds row 32, (2,1,100), before its
+    search (see `held_survey.py`), and the path prefix of its flag files."""
+    env = dict(os.environ, PYTHONPATH=str(Path(search_mod.__file__).parents[1]))
+    flag = str(tmp_path / "hold")
+    driver = str(Path(__file__).with_name("held_survey.py"))
+    return subprocess.Popen([sys.executable, driver, "2,1,100", flag, *argv], env=env, **popen), flag
+
+
+def wait_until_held(proc, log, flag):
+    # rows 1-31 are logged before row 32, (2,1,100), is held
+    deadline = time.monotonic() + 60
+    while proc.poll() is None and time.monotonic() < deadline:
+        if os.path.exists(flag + ".held") and log.exists() and log.read_bytes().count(b"\n") >= 31:
+            break
+        time.sleep(0.002)
+
+
 def test_survey_killed_process_resumes(tmp_path):
     # a real kill: no exception handler or file close runs, so only rows
     # already flushed survive, and the kill may tear the line being written
     log = tmp_path / "progress.jsonl"
-    env = dict(os.environ, PYTHONPATH=str(Path(search_mod.__file__).parents[1]))
     argv = ["survey", "--kmax", "3", "--qmax", "100", "--no-prune"]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "quasicross", *argv, "--progress", str(log)],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    proc, flag = held_survey(
+        tmp_path, [*argv, "--progress", str(log)], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
     )
     try:
-        # rows 1-31 take milliseconds, row 32, (2,1,100), about 0.3 s
-        deadline = time.monotonic() + 60
-        while proc.poll() is None and time.monotonic() < deadline:
-            if log.exists() and log.read_bytes().count(b"\n") >= 31:
-                break
-            time.sleep(0.002)
+        wait_until_held(proc, log, flag)
         assert proc.poll() is None, "the survey ended before it could be killed"
     finally:
         proc.kill()  # SIGKILL
@@ -374,19 +440,13 @@ def test_survey_interrupted_by_sigint_exits_130_and_resumes(tmp_path, jobs):
     # SIGINT as `timeout -s INT` sends it: to the survey process, then to
     # its whole process group, workers included
     log = tmp_path / "progress.jsonl"
-    env = dict(os.environ, PYTHONPATH=str(Path(search_mod.__file__).parents[1]))
     argv = ["survey", "--kmax", "3", "--qmax", "100", "--no-prune", "--jobs", jobs]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "quasicross", *argv, "--progress", str(log)],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
+    proc, flag = held_survey(
+        tmp_path, [*argv, "--progress", str(log)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
     )
     try:
-        # rows 1-31 take milliseconds, row 32, (2,1,100), about 0.3 s
-        deadline = time.monotonic() + 60
-        while proc.poll() is None and time.monotonic() < deadline:
-            if log.exists() and log.read_bytes().count(b"\n") >= 31:
-                break
-            time.sleep(0.002)
+        wait_until_held(proc, log, flag)
         assert proc.poll() is None, "the survey ended before it could be interrupted"
         os.kill(proc.pid, signal.SIGINT)
         os.killpg(proc.pid, signal.SIGINT)
