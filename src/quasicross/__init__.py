@@ -25,7 +25,6 @@ from .lattice import (
     GeometricReport,
     IntegerLattice,
     determinant,
-    generated_index,
     geometric_check,
     lattice_from_json,
     lattice_from_splitting,
@@ -56,7 +55,6 @@ from .splitting import (
     image,
     is_tiling,
     make_cyclic_splitting,
-    normalize,
     to_json,
     verify_packing,
 )

@@ -2,9 +2,10 @@
 
 Subcommands: construct, verify, lattice, search, survey, bounds, encode,
 decode, plot.  Exit codes: 0 success, 1 negative verification result
-(non-packing input, uncorrectable word), 2 usage or precondition error,
-3 internal fault, 130 interrupted (Ctrl-C).  Every subcommand is
-deterministic given identical flags.
+(non-packing input, uncorrectable word), 2 usage or precondition error
+(a time limit or the memory exceeded included), 3 internal fault,
+130 interrupted (Ctrl-C).  Every subcommand is deterministic given
+identical flags.
 """
 
 from __future__ import annotations
@@ -346,6 +347,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, search_mod.SearchTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
         print(f"internal fault: {exc}", file=sys.stderr)

@@ -72,12 +72,8 @@ def cyclic_splitting(p: int, ell: int, k_plus: int, k_minus: int) -> Splitting:
     p, ell, arms = _check_arms(p, ell, k_plus, k_minus)
     level = [1]
     for i in range(1, ell):
-        modulus = p ** (i + 1)
-        level = [p * s for s in level] + list(range(1, modulus, p))
-        assert len(level) == (modulus - 1) // (p - 1)  # |S_{i+1}| = |S_i| + p^i
-    splitters = sorted(s % p**ell for s in level)
-    assert len(splitters) == (p**ell - 1) // (p - 1)
-    sp = make_cyclic_splitting(p**ell, arms.k_plus, arms.k_minus, splitters)
+        level = [p * s for s in level] + list(range(1, p ** (i + 1), p))
+    sp = make_cyclic_splitting(p**ell, arms.k_plus, arms.k_minus, sorted(level))
     return _verified(sp)
 
 
@@ -107,12 +103,8 @@ def two_one_splitting(ell: int) -> Splitting:
     level = [1]
     for i in range(1, ell):
         modulus = 4 ** (i + 1)
-        fresh = [s for s in range(1, modulus, 2) if 2 * s < modulus]
-        level = [4 * s for s in level] + fresh
-        assert len(fresh) == 4**i
-    splitters = sorted(s % 4**ell for s in level)
-    assert len(splitters) == (4**ell - 1) // 3
-    sp = make_cyclic_splitting(4**ell, 2, 1, splitters)
+        level = [4 * s for s in level] + [s for s in range(1, modulus, 2) if 2 * s < modulus]
+    sp = make_cyclic_splitting(4**ell, 2, 1, sorted(level))
     return _verified(sp)
 
 

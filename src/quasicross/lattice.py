@@ -137,12 +137,6 @@ def determinant(lat: IntegerLattice) -> int:
     return abs(d)
 
 
-def generated_index(sp: Splitting) -> int:
-    """Index [G : <S>] of the subgroup the splitters generate; 1 exactly
-    when S generates G (then det of the kernel lattice equals |G|)."""
-    return sp.group.order // determinant(lattice_from_splitting(sp))
-
-
 def packing_density(lat: IntegerLattice, shape: QuasiCrossShape, det: int | None = None) -> Fraction:
     """Cross volume over fundamental-region volume; 1 exactly for tilings.
 

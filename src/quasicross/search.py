@@ -58,14 +58,16 @@ class SearchTimeout(Exception):
     """Raised when a single search instance exceeds its time budget."""
 
 
-def _cover_blocks(q: int, multipliers: MultiplierSet):
+def _cover_blocks(q: int, multipliers: MultiplierSet, check_clock):
     """Per-splitter coverage bitmasks over the residues and, per residue,
     the bitmask of the splitters whose block contains it.  Splitters whose
-    products collide or hit zero are dropped up front."""
+    products collide or hit zero are dropped up front.  The masks take
+    O(q^2) bits, so the deadline is checked once per splitter."""
     span = len(multipliers)
     blocks: dict[int, int] = {}
     holders = [0] * q
     for s in range(1, q):
+        check_clock()
         prods = {(m * s) % q for m in multipliers}
         if 0 in prods or len(prods) != span:
             continue
@@ -142,7 +144,7 @@ def search_tilings(
     check_clock()
     if any(size % span for size in sizes.values()):
         return []
-    blocks, holders = _cover_blocks(q, multipliers)
+    blocks, holders = _cover_blocks(q, multipliers, check_clock)
     residues = {d: 0 for d, size in sizes.items() if size}  # d -> C_d as a bitmask
     for r in range(1, q):
         residues[gcd(r, u)] |= 1 << r

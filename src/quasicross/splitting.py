@@ -73,10 +73,6 @@ class QuasiCrossShape:
         return self.n * (self.k_plus + self.k_minus) + 1
 
     @property
-    def balance_ratio(self) -> Fraction:
-        return Fraction(self.k_minus, self.k_plus)
-
-    @property
     def multipliers(self) -> MultiplierSet:
         return MultiplierSet(self.k_plus, self.k_minus)
 
@@ -238,26 +234,6 @@ def check_singular_prime_bound(sp: Splitting) -> bool:
         sp.multipliers.count_divisible_by(p) >= Fraction(m_size, p * p)
         for p in prime_factors(sp.group.order)
     )
-
-
-def normalize(sp: Splitting) -> Splitting:
-    """Unit-scale a cyclic-group splitting so that 1 is a splitter, then
-    sort splitters ascending.
-
-    Scans splitters in ascending order and divides by the first one that
-    is invertible mod q; scaling by a unit preserves both the packing and
-    the tiling property.
-    """
-    if not sp.group.is_cyclic_form:
-        raise ValueError("normalize is defined for cyclic groups only")
-    q = sp.group.orders[0]
-    values = sorted(sp.splitter_values())
-    unit = next((s for s in values if gcd(s, q) == 1), None)
-    if unit is None:
-        raise ValueError("no splitter is invertible mod q; cannot normalize")
-    inv = pow(unit, -1, q)
-    scaled = sorted((s * inv) % q for s in values)
-    return make_cyclic_splitting(q, sp.multipliers.k_plus, sp.multipliers.k_minus, scaled)
 
 
 def image(sp: Splitting, vector) -> Element:

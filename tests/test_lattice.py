@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from quasicross import (
     cyclic_splitting,
     determinant,
     field_splitting,
-    generated_index,
     geometric_check,
     is_tiling,
     image,
@@ -21,9 +21,11 @@ from quasicross import (
     packing_density,
     period,
     render_2d,
+    to_json,
     two_one_splitting,
     verify_packing,
 )
+from quasicross.cli import main
 from quasicross.intlinalg import hnf_lower
 
 import oracles
@@ -153,7 +155,20 @@ def test_period_matches_smallest_axis_vector_in_lattice():
                 axis[i] = t
 
 
-def test_det_equals_group_order_when_splitters_generate():
+def verify_cli(tmp_path, capsys, sp, *flags) -> str:
+    """The standard output of `verify` on `sp`, which must exit 0."""
+    path = tmp_path / "splitting.json"
+    path.write_text(to_json(sp), encoding="utf-8")
+    assert main(["verify", str(path), *flags]) == 0
+    return capsys.readouterr().out
+
+
+def subgroup_index(tmp_path, capsys, sp) -> int:
+    """[G : <S>] as `verify --format json` reports it."""
+    return json.loads(verify_cli(tmp_path, capsys, sp, "--format", "json"))["subgroup_index"]
+
+
+def test_det_equals_group_order_when_splitters_generate(tmp_path, capsys):
     for sp in (
         cyclic_splitting(5, 2, 3, 1),
         field_splitting(5, 2, 3, 1),
@@ -161,21 +176,24 @@ def test_det_equals_group_order_when_splitters_generate():
         make_cyclic_splitting(17, 3, 2, [1, 13]),
     ):
         assert determinant(lattice_from_splitting(sp)) == sp.group.order
-        assert generated_index(sp) == 1
+        assert subgroup_index(tmp_path, capsys, sp) == 1
 
 
-def test_generated_index_on_non_generating_set():
-    sp = make_cyclic_splitting(9, 3, 2, [3, 6])
-    assert generated_index(sp) == 3
+def test_generated_index_on_non_generating_set(tmp_path, capsys):
+    # {3} generates {0, 3, 6, 9}, of index 3 in Z_12.  (Z_9 with {3, 6} has
+    # the same index but is no packing, as -1*3 = 6, so verify refuses it.)
+    sp = make_cyclic_splitting(12, 2, 1, [3])
+    assert subgroup_index(tmp_path, capsys, sp) == 3
+    assert "splitters generate an index-3 subgroup\n" in verify_cli(tmp_path, capsys, sp)
 
 
-def test_non_generating_splitters_tile_their_subgroup():
+def test_non_generating_splitters_tile_their_subgroup(tmp_path, capsys):
     # the lattice answers for the generated subgroup: 4Z tiles the line
     # with volume-4 crosses even though the Z_8 splitting is not perfect
     sp = make_cyclic_splitting(8, 2, 1, [2])
     assert verify_packing(sp).ok
     assert not is_tiling(sp)
-    assert generated_index(sp) == 2
+    assert subgroup_index(tmp_path, capsys, sp) == 2
     assert geometric_check(sp).verdict == "tiling"
     assert packing_density(lattice_from_splitting(sp), sp.shape) == 1
 

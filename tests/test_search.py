@@ -183,20 +183,39 @@ def test_search_timeout():
         search_tilings(2, 1, 100, time_limit=1e-9)
 
 
-def test_search_rules_out_a_huge_order_before_allocating():
-    # q = 10^8 = 2^8 * 5^8: the residues r with gcd(r, 5^8) = 5^7 number
-    # 2^8 * phi(5) = 1024, not a multiple of 3, so no O(q) set-up runs.  The
-    # address-space limit keeps a regression from taking the machine's memory.
+def search_in_512_mib(*flags: str) -> subprocess.CompletedProcess:
+    """`search --kplus 2 --kminus 1` with `flags`, run in a child whose
+    address space is capped at 512 MiB, so that a regression cannot take
+    the machine's memory."""
     import resource
 
     limit = 512 << 20
     env = dict(os.environ, PYTHONPATH=str(Path(search_mod.__file__).parents[1]))
-    argv = ["search", "--kplus", "2", "--kminus", "1", "--q", "100000000", "--time-limit", "1"]
-    proc = subprocess.run(
+    argv = ["search", "--kplus", "2", "--kminus", "1", *flags]
+    return subprocess.run(
         [sys.executable, "-m", "quasicross", *argv], env=env, capture_output=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
+
+
+def test_search_rules_out_a_huge_order_before_allocating():
+    # q = 10^8 = 2^8 * 5^8: the residues r with gcd(r, 5^8) = 5^7 number
+    # 2^8 * phi(5) = 1024, not a multiple of 3, so no O(q) set-up runs
+    proc = search_in_512_mib("--q", "100000000", "--time-limit", "1")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0 canonical tiling(s)\n", b"")
+
+
+def test_search_time_limit_holds_during_set_up():
+    # 64033 is prime and 3 | 64032, so the size test passes and the set-up
+    # would build about 500 MiB of masks before the first DFS node
+    proc = search_in_512_mib("--q", "64033", "--time-limit", "0.1")
+    err = b"error: search (2,1) over Z_64033 exceeded 0.1s\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err)
+
+
+def test_search_out_of_memory_exits_2_without_a_traceback():
+    proc = search_in_512_mib("--q", "64033")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: out of memory\n")
 
 
 def test_search_results_satisfy_group_theorems():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -17,7 +16,6 @@ from quasicross import (
     image,
     is_tiling,
     make_cyclic_splitting,
-    normalize,
     to_json,
     two_one_splitting,
     unit_orbit_canonical,
@@ -55,7 +53,6 @@ def test_count_divisible_by():
 def test_shape_volume_and_ratio():
     shape = QuasiCrossShape(3, 2, 2)
     assert shape.volume == 11
-    assert shape.balance_ratio == Fraction(2, 3)
     assert len(list(shape.cells())) == shape.volume
     with pytest.raises(ValueError):
         QuasiCrossShape(2, 2, 3)
@@ -121,22 +118,6 @@ def test_singular_prime_bound():
     assert check_singular_prime_bound(two_one_splitting(3))
     with pytest.raises(ValueError):
         check_singular_prime_bound(z17_example())  # not a tiling
-
-
-def test_normalize():
-    sp = make_cyclic_splitting(17, 3, 2, [2, 9])
-    assert verify_packing(sp).ok
-    normalized = normalize(sp)
-    assert normalized.splitter_values() == (1, 13)
-    assert verify_packing(normalized).ok
-    assert normalize(z16_tiling()).splitter_values() == (1, 3, 4, 5, 7)
-    assert normalize(make_cyclic_splitting(5, 3, 1, [2])).splitter_values() == (1,)
-
-
-def test_normalize_requires_unit():
-    sp = make_cyclic_splitting(8, 2, 1, [2])
-    with pytest.raises(ValueError):
-        normalize(sp)
 
 
 def test_unit_scaling_preserves_verdicts():
