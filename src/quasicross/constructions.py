@@ -1,31 +1,26 @@
 """Splitting constructions that tile the space with quasi-crosses.
 
-Three families plus two combinators:
-
-* cyclic_splitting   — recursive splitting of Z_{p^l} when k_plus + k_minus = p - 1
-* field_splitting    — splitting of the additive group (Z_p)^l of GF(p^l), same
-                       arm sums: the matrix extension of S = {1} in Z_p
-* two_one_splitting  — splitting of Z_{4^l} for arms (2, 1)
-* matrix_extension   — lift a splitting of Z_v to Z_v^k (multipliers must be
-                       coprime to v; this is exactly what fails over Z_4)
-* mixed_splitting    — matrix_extension applied to cyclic_splitting output
-* balance_family     — for a target arm ratio a/b, scale (b, a) by (p-1)/(a+b)
-                       for primes p = 1 (mod a+b); yields arbitrarily large
-                       dimensions at a fixed ratio
+When k_plus + k_minus = p - 1, S = {1} splits Z_p, and two moves grow it
+(Stein & Szabó, "Algebra and Tiling", 1994): `_lift` to Z_{p^l} gives
+`cyclic_splitting`, and the `_product` of copies gives `field_splitting`
+over (Z_p)^l, the additive group of GF(p^l), and `matrix_extension` over
+Z_v^k, which `mixed_splitting` applies to the cyclic one.
+`two_one_splitting` tiles Z_{4^l} for arms (2, 1), and `balance_family`
+gives arbitrarily large dimensions at any fixed arm ratio below 1.
 
 Every constructor re-verifies its output with one scan of the product
 table, which decides both the packing and, by the counting condition,
 perfectness; a construction that fails its own verification is an
-internal fault, not a user error.
+internal fault, not a user error.  The two moves never scan.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
 
-from .groups import Element, FiniteAbelianGroup, integers, is_prime
+from .groups import FiniteAbelianGroup, integers, is_prime
 from .splitting import (
     MultiplierSet,
     Splitting,
@@ -63,29 +58,47 @@ def _verified(sp: Splitting) -> Splitting:
     return sp
 
 
-def cyclic_splitting(p: int, ell: int, k_plus: int, k_minus: int) -> Splitting:
-    """Splitter set of size (p^l - 1)/(p - 1) tiling Z_{p^l}.
-
-    Built recursively: S_1 = {1}; S_{i+1} = p*S_i together with every
-    residue congruent to 1 mod p.  Output sorted ascending.
-    """
-    p, ell, arms = _check_arms(p, ell, k_plus, k_minus)
-    level = [1]
+def _lift(first: list[int], p: int, ell: int) -> list[int]:
+    """S_1 = first, a splitting of Z_p (p prime), lifted to Z_{p^ell}:
+    S_{i+1} = p*S_i together with each x with x mod p in S_1, sorted.  If
+    every multiplier is a unit mod p, S_ell splits Z_{p^ell}, by induction:
+    a unit x is m*x' for the one (m, s) with m*s = x (mod p) and then the
+    one x' = x/m; a non-unit p*y is m*(p*s) for the one m*s = y in Z_{p^i}."""
+    level = first
     for i in range(1, ell):
-        level = [p * s for s in level] + list(range(1, p ** (i + 1), p))
-    sp = make_cyclic_splitting(p**ell, arms.k_plus, arms.k_minus, sorted(level))
-    return _verified(sp)
+        level = [p * s for s in level] + [x for s in first for x in range(s, p ** (i + 1), p)]
+    return sorted(level)
+
+
+def _product(a, b):
+    """Columns of A x B from (orders, columns) pairs: each (s, x), s a
+    column of A and x in B (lexicographic), then each (0, t), t of B.  If
+    both pack and every multiplier is a unit of B, this packs: m*s != 0
+    fixes (m, s), and then the unit m fixes x; (0, m*t) fixes (m, t).  It
+    covers |S_A||M||B| + |S_B||M| + 1 <= |A||B| cells, so it tiles
+    exactly when both factors tile."""
+    (orders_a, columns_a), (orders_b, columns_b) = a, b
+    rest = list(FiniteAbelianGroup(orders_b).elements())
+    zero = (0,) * len(orders_a)
+    columns = [s + x for s in columns_a for x in rest] + [zero + t for t in columns_b]
+    return orders_a + orders_b, columns
+
+
+def cyclic_splitting(p: int, ell: int, k_plus: int, k_minus: int) -> Splitting:
+    """Splitter set of size (p^l - 1)/(p - 1) tiling Z_{p^l}: the lift of
+    S = {1} in Z_p.  Output sorted ascending."""
+    p, ell, arms = _check_arms(p, ell, k_plus, k_minus)
+    return _verified(make_cyclic_splitting(p**ell, arms.k_plus, arms.k_minus, _lift([1], p, ell)))
 
 
 def field_splitting(p: int, ell: int, k_plus: int, k_minus: int) -> Splitting:
     """Splitter set tiling the additive group (Z_p)^l of GF(p^l): the
-    matrix extension of the trivial splitting S = {1} of Z_p, i.e. every
-    vector whose topmost nonzero entry is 1.  Output sorted
-    lexicographically.  The base {1} tiles Z_p by counting, so only the
-    lift is scanned."""
+    product of l copies of S = {1} in Z_p, i.e. every vector whose topmost
+    nonzero entry is 1.  Output sorted lexicographically.  The base {1}
+    tiles Z_p by counting, so only the product is scanned."""
     p, ell, arms = _check_arms(p, ell, k_plus, k_minus)
-    columns = sorted(_lifted_columns((1,), p, ell))
-    sp = Splitting(FiniteAbelianGroup((p,) * ell), arms, tuple(columns))
+    orders, columns = reduce(_product, [((p,), [(1,)])] * ell)
+    sp = Splitting(FiniteAbelianGroup(orders), arms, tuple(sorted(columns)))
     return _verified(sp)
 
 
@@ -108,28 +121,15 @@ def two_one_splitting(ell: int) -> Splitting:
     return _verified(sp)
 
 
-def _lifted_columns(values, v: int, k: int) -> list[Element]:
-    """Columns of Z_v^k whose topmost nonzero entry is one of `values`,
-    ordered by (pivot position, order in `values`, lower entries)."""
-    return [
-        (0,) * pivot + (s,) + lower
-        for pivot in range(k)
-        for s in values
-        for lower in itertools.product(range(v), repeat=k - 1 - pivot)
-    ]
-
-
 def matrix_extension(base: Splitting, k: int) -> Splitting:
-    """Lift a splitting of Z_v to Z_v^k: the new splitter set consists of
-    all columns whose topmost nonzero entry comes from the base splitter
-    set, with arbitrary entries below it.
+    """Lift a splitting of Z_v to Z_v^k: the product of k copies of the
+    base, i.e. the columns whose topmost nonzero entry is a base splitter,
+    ordered by (pivot position, base splitter order, lower entries).
 
     Requires every multiplier coprime to v (otherwise two columns can
     collide under a non-unit multiplier and the lift is not even a
-    packing) and a base that is a packing.  Columns are ordered by
-    (pivot position, base splitter order, lower entries).  The lift
-    packs exactly when the base does, and then, by counting, tiles
-    exactly when the base does, so only the lift is scanned.
+    packing) and a packing base.  By `_product` the lift packs, and then
+    tiles, exactly when the base does, so only the lift is scanned.
     """
     if not base.group.is_cyclic_form:
         raise ValueError("matrix_extension needs a base splitting of a cyclic group")
@@ -145,8 +145,8 @@ def matrix_extension(base: Splitting, k: int) -> Splitting:
             )
     if k == 1:
         return base
-    columns = _lifted_columns(base.splitter_values(), v, k)
-    sp = Splitting(FiniteAbelianGroup((v,) * k), base.multipliers, tuple(columns))
+    orders, columns = reduce(_product, [(base.group.orders, base.splitters)] * k)
+    sp = Splitting(FiniteAbelianGroup(orders), base.multipliers, tuple(columns))
     if not verify_packing(sp).ok:
         raise ValueError(f"base {list(base.splitter_values())} of Z_{v} is not a packing")
     return sp

@@ -168,9 +168,6 @@ class GeometricReport:
     uncovered: int
     witness: tuple[tuple[int, int] | None, tuple[int, int] | None] | None = None
 
-    def __bool__(self) -> bool:
-        return self.verdict != "overlap"
-
 
 def geometric_check(
     sp: Splitting, lat: IntegerLattice | None = None, det: int | None = None

@@ -26,9 +26,15 @@ nonzero residues.  The covered residues and the still-live splitters
   live candidate ends the branch at once, and since every residue must
   be covered, branching on any one of them loses no solution.
 
-Unproven: that any group split by M yields a splitting of the cyclic
-group of the same order, which would make searching cyclic groups
-enough for nonexistence results in every abelian group.
+Nonsingular q, every prime of q above k_plus: M splits Z_q exactly when
+it splits Z_p for each prime p | q.  Necessity: a unit m keeps the order
+of an element, so the splitters of order p split the order-p subgroup,
+a copy of Z_p.  Sufficiency: `constructions._lift` of each Z_p splitting
+to its prime power, then `constructions._product` of those, mapped to
+Z_q by CRT.  Open: the singular case, and whether a group split by M
+yields a splitting of the cyclic group of the same order, which would
+make searching cyclic groups enough for nonexistence results in every
+abelian group.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from dataclasses import asdict, dataclass
 from functools import cache, reduce
 from io import StringIO
 from itertools import chain, product
-from math import gcd
+from math import gcd, isnan
 from operator import or_
 
 from .bounds import instance_feasibility
@@ -56,6 +62,12 @@ from .splitting import (
 
 class SearchTimeout(Exception):
     """Raised when a single search instance exceeds its time budget."""
+
+
+def _check_time_limit(time_limit: float | None) -> None:
+    # every comparison with nan is false, so a nan deadline would never pass
+    if time_limit is not None and isnan(time_limit):
+        raise ValueError("time limit must be a number of seconds, got nan")
 
 
 def _cover_blocks(q: int, multipliers: MultiplierSet, check_clock):
@@ -131,6 +143,7 @@ def search_tilings(
     divide the size of every gcd class (no tiling can exist by counting;
     see the module docstring).
     """
+    _check_time_limit(time_limit)
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     multipliers = MultiplierSet(k_plus, k_minus)
     span = len(multipliers)
@@ -313,6 +326,9 @@ def survey(
     instances the log lacks.  Logged rows are reused as-is, so keep one
     log per mode.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_time_limit(time_limit)
     grid = list(survey_instances(k_max, q_max))
     done = _read_log(progress_path) if progress_path else {}
     todo = [(*key, prune_with_bounds, time_limit) for key in grid if key not in done]

@@ -109,9 +109,6 @@ class PackingCheck:
     ok: bool
     collision: Collision | None = None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 @dataclass(frozen=True)
 class Splitting:

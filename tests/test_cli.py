@@ -108,6 +108,13 @@ def test_lattice_json_output(capsys, z17_json):
     assert json.loads(out) == {"basis": [[17, 0], [4, 1]]}
 
 
+def test_lattice_on_a_non_packing_exits_1(capsys, tmp_path):
+    path = tmp_path / "z7.json"
+    path.write_text(to_json(make_cyclic_splitting(7, 2, 1, [1, 2])), encoding="utf-8")
+    err = "not a packing: collision 2*1 = 1*2 = 2\n"
+    assert run_cli(capsys, "lattice", str(path)) == (1, "", err)
+
+
 def test_bounds_ruled_out(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--kplus", "3", "--kminus", "2", "--n", "2")
     assert code == 0

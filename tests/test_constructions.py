@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from functools import reduce
+
 import pytest
 
 from quasicross import (
@@ -200,3 +202,61 @@ def test_balance_family_preconditions():
         balance_family(3, 2, 1)  # ratio above 1
     with pytest.raises(ValueError):
         balance_family(1, 2, 0)  # 1-based index
+
+
+def one(p):
+    """S = {1} in Z_p as an (orders, columns) factor."""
+    return (p,), [(1,)]
+
+
+@pytest.mark.parametrize("p,k_plus,k_minus", [(5, 3, 1), (7, 4, 2), (7, 5, 1)])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_lift_of_one_tiles(p, k_plus, k_minus, ell):
+    values = constructions._lift([1], p, ell)
+    assert values == sorted(values)
+    assert oracles.brute_is_tiling((p**ell,), k_plus, k_minus, [(x,) for x in values])
+
+
+def test_lift_of_the_fourth_power_residues_of_z149_tiles_z22201():
+    # M = {-1, 1, 2, 3} is a transversal of the fourth powers' cosets in Z_149^*
+    residues = sorted({pow(x, 4, 149) for x in range(1, 149)})
+    assert len(residues) == 37
+    assert oracles.brute_is_tiling((149,), 3, 1, [(x,) for x in residues])
+    values = constructions._lift(residues, 149, 2)
+    assert len(values) == 5550
+    assert oracles.brute_is_tiling((22201,), 3, 1, [(x,) for x in values])
+
+
+def lifted(p, ell):
+    """The lift of S = {1} to Z_{p^ell} as an (orders, columns) factor."""
+    return (p**ell,), [(x,) for x in constructions._lift([1], p, ell)]
+
+
+@pytest.mark.parametrize(
+    "factors,k_plus,k_minus",
+    [
+        ([one(5), lifted(5, 2)], 3, 1),
+        ([lifted(5, 2), one(5)], 3, 1),
+        ([one(7)] * 3, 4, 2),
+        ([one(7)] * 3, 5, 1),
+    ],
+    ids=["z5xz25", "z25xz5", "z7^3-arms-4-2", "z7^3-arms-5-1"],
+)
+def test_product_of_tilings_tiles(factors, k_plus, k_minus):
+    orders, columns = reduce(constructions._product, factors)
+    assert oracles.brute_is_tiling(orders, k_plus, k_minus, columns)
+
+
+@pytest.mark.parametrize(
+    "factors,k_plus,k_minus",
+    [
+        ([((17,), [(1,), (13,)])] * 2, 3, 2),  # a packing of Z_17 that does not tile
+        ([one(5), one(7)], 3, 1),  # {1} tiles Z_5 but only packs Z_7
+        ([one(7), one(5)], 3, 1),
+    ],
+    ids=["z17-packing-squared", "z5-tiling-x-z7-packing", "z7-packing-x-z5-tiling"],
+)
+def test_product_with_a_packing_factor_packs_but_does_not_tile(factors, k_plus, k_minus):
+    orders, columns = reduce(constructions._product, factors)
+    assert oracles.brute_is_packing(orders, k_plus, k_minus, columns)
+    assert not oracles.brute_is_tiling(orders, k_plus, k_minus, columns)

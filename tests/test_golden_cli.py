@@ -3,7 +3,7 @@ of `verify` (text and JSON) and `lattice` on its output, plus `plot` of
 a non-triangular `--lattice` input, and of `encode` and `decode` (text
 and JSON; a corrected, a clean and an uncorrectable word) on a code of
 every kind; also of `bounds` (`--n` and `--q`, text and JSON, ruled-out
-and open), `search` (text, JSON, `--raw`, `--first`) and the unpruned
+and open), `search` (text, JSON, `--raw`, `--first`, both) and the unpruned
 survey CSV.  The digests pin the exact output, so a change to how the
 kernel lattice is stored or reduced, how the codec computes, or how a
 construction, rule or search result is assembled cannot alter what
@@ -167,6 +167,7 @@ GOLDEN = {
     ('search', 'raw'): "d85dffc9535bc7782054e3abb0babc6e37960709c3d512ebf87834a6255c1c92",
     ('search', 'raw-json'): "2a29f97b2b5ded06f0ba48be45ee309caae3553636032938a1deff08d502983d",
     ('search', 'first'): "f3b315fed9b6d15ac5ef71f1d74aaafbce8c2ca3362f0680374d0c696f58558b",
+    ('search', 'first-raw'): "cad4d637bedde6029bb645e507a21f661ca9a7d52308e69cca839e1b90df6379",
     ('search', 'none'): "25960863a628eafa01572aaf47ba8ed53e3a9e43c95c99676bb539da654fe53e",
     ('survey', 'no-prune-kmax4-qmax40'): "3766105b823b3dd5447a261459d5c1a98984e43fca0f75d7c14db74ff7223a24",
 }
@@ -306,6 +307,7 @@ SEARCHES = (
     ("raw", ["--kplus", "2", "--kminus", "1", "--q", "16", "--raw"]),
     ("raw-json", ["--kplus", "2", "--kminus", "1", "--q", "16", "--raw", "--format", "json"]),
     ("first", ["--kplus", "3", "--kminus", "1", "--q", "25", "--first"]),
+    ("first-raw", ["--kplus", "2", "--kminus", "1", "--q", "64", "--first", "--raw"]),
     ("none", ["--kplus", "3", "--kminus", "1", "--q", "26"]),
 )
 

@@ -183,6 +183,32 @@ def test_search_timeout():
         search_tilings(2, 1, 100, time_limit=1e-9)
 
 
+SURVEY_3_30 = ["survey", "--kmax", "3", "--qmax", "30"]
+NAN_LIMIT = "time limit must be a number of seconds, got nan"
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["search", "--kplus", "2", "--kminus", "1", "--q", "64", "--time-limit", "nan"], NAN_LIMIT),
+        ([*SURVEY_3_30, "--time-limit", "nan"], NAN_LIMIT),
+        ([*SURVEY_3_30, "--jobs", "0"], "jobs must be >= 1, got 0"),
+        ([*SURVEY_3_30, "--jobs", "-4"], "jobs must be >= 1, got -4"),
+    ],
+    ids=["search-nan", "survey-nan", "survey-jobs-0", "survey-jobs-minus-4"],
+)
+def test_nan_time_limit_and_jobs_below_1_exit_2_before_any_search(capsys, monkeypatch, argv, error):
+    # every comparison with nan is false, so a nan limit never ran out, and
+    # a job count below 1 ran the survey serially
+    def searched(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(search_mod, "_cover_blocks", searched)
+    monkeypatch.setattr(search_mod, "_run_instance", searched)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def search_in_512_mib(*flags: str) -> subprocess.CompletedProcess:
     """`search --kplus 2 --kminus 1` with `flags`, run in a child whose
     address space is capped at 512 MiB, so that a regression cannot take

@@ -74,6 +74,7 @@ def test_verify_packing_counterexample_witness():
     assert (w.m1, w.s1) == (2, (1, 0))
     assert (w.m2, w.s2) == (2, (1, 2))
     assert w.product == (2, 0)
+    assert w.describe() == "2*(1,0) = 2*(1,2) = (2,0)"
     # oracle agrees there is no packing
     assert not oracles.brute_is_packing((4, 4), 2, 1, bad.splitters)
 
@@ -91,6 +92,7 @@ def test_zero_product_witness():
     assert check.collision.m2 is None
     assert (check.collision.m1, check.collision.s1) == (-2, (4,))
     assert check.collision.product == (0,)
+    assert check.collision.describe() == "-2*4 = 0"
 
 
 def test_is_tiling():
