@@ -66,7 +66,9 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _parse_ratio(text: str) -> tuple[int, int]:
+def _parse_ratio(text: str | None) -> tuple[int, int]:
+    if text is None:
+        raise ValueError("construct balance needs --beta, a fraction like 2/3")
     try:
         a, b = text.split("/")
         return int(a), int(b)
@@ -84,14 +86,13 @@ def _cmd_verify(args) -> int:
             {"verdict": "not-a-packing", "collision": check.collision.describe()},
         )
         return EXIT_NEGATIVE
-    tiling = sp.group.order == sp.shape.volume  # a packing tiles iff it fills G
     lat = lattice_mod.lattice_from_splitting(sp)
     det = lattice_mod.determinant(lat)
     density = lattice_mod.packing_density(lat, sp.shape, det)
     periods = lattice_mod.period(sp)
     guard = lattice_mod.GEOMETRIC_CHECK_MAX_VOLUME
     geo = lattice_mod.geometric_check(sp, lat, det) if sp.shape.volume <= guard else None
-    verdict = "tiling" if tiling else "packing"
+    verdict = "tiling" if check.tiling else "packing"
     sing = split_mod.classify_singularity(sp).value
     index = sp.group.order // det
     lines = [

@@ -29,42 +29,36 @@ from .splitting import Splitting, _scan_products
 
 
 class SyndromeTable:
-    """Immutable-by-convention map from m*s_i to (coordinate i, magnitude m)."""
+    """Immutable-by-convention map from m*s_i to (coordinate i, magnitude m):
+    the table the product scan builds."""
 
     def __init__(self, splitting: Splitting):
-        check, products = _scan_products(splitting)
+        check, entries = _scan_products(splitting)
         if not check.ok:
             raise RuntimeError(
                 f"syndrome table over a non-packing: {check.collision.describe()}"
             )
-        index_of = {s: i for i, s in enumerate(splitting.splitters)}
-        self.splitting = splitting
-        self.entries: dict[Element, tuple[int, int]] = {
-            prod: (index_of[s], m) for prod, (m, s) in products.items()
-        }
-
-    def lookup(self, syndrome: Element) -> tuple[int, int] | None:
-        return self.entries.get(syndrome)
+        self.entries: dict[Element, tuple[int, int]] = entries
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-def _unit_pivots(splitters, candidates, v: int):
+def _unit_pivots(splitters, v: int):
     """Gauss-Jordan elimination mod v with unit pivots over the splitter
-    columns in `candidates`, taken in order: a column joins the pivots
-    when its reduced form has a unit entry in a row no earlier pivot
-    holds (the first such row becomes its pivot row); otherwise it is
-    skipped.  Stops at k pivots.  Returns the pivots and the inverse mod
-    v of their system (row c inverts pivot c), or None when fewer than k
-    columns qualify.  Complete for prime-power v: the result is then the
-    first k-subset, in candidate order, whose determinant is a unit."""
+    columns, taken in order: a column joins the pivots when its reduced
+    form has a unit entry in a row no earlier pivot holds (the first such
+    row becomes its pivot row); otherwise it is skipped.  Stops at k
+    pivots.  Returns the pivots and the inverse mod v of their system
+    (row c inverts pivot c), or None when fewer than k columns qualify.
+    Complete for prime-power v: the result is then the lexicographically
+    first k-subset whose determinant is a unit."""
     k = len(splitters[0])
     # the accumulated row operations; it reduces each candidate column
     ops = [[int(i == r) for i in range(k)] for r in range(k)]
     pivots, rows = [], []
-    for i in candidates:
-        reduced = [sum(map(mul, row, splitters[i])) % v for row in ops]
+    for i, column in enumerate(splitters):
+        reduced = [sum(map(mul, row, column)) % v for row in ops]
         r = next((r for r in range(k) if r not in rows and gcd(reduced[r], v) == 1), None)
         if r is None:
             continue
@@ -83,22 +77,21 @@ def _unit_pivots(splitters, candidates, v: int):
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """A splitting plus the physical alphabet [0, levels) and the pivot
-    coordinates the encoder solves for.
+    """A splitting plus the physical alphabet [0, levels).
 
     The group must have equal cyclic orders v (true for every
     construction here: Z_q, Z_p^l, and (Z_{p^l})^k), and levels must be
-    a positive multiple of v.  Omitted pivots are chosen automatically
-    (the first splitter columns forming an invertible system).  Set-up
-    precomputes the flat integer form the codec runs on: the k splitter
-    columns (entry i of column j is coordinate j of s_i), their
-    restriction to the free coordinates, and the inverse mod v of the
-    pivot system.  Raises ValueError on any invalid input, a pivot
-    system that is not invertible included."""
+    a positive multiple of v.  The pivot coordinates the encoder solves
+    for are derived: the first splitter columns forming an invertible
+    system.  Set-up precomputes the flat integer form the codec runs on:
+    the k splitter columns (entry i of column j is coordinate j of s_i),
+    their restriction to the free coordinates, and the inverse mod v of
+    the pivot system.  Raises ValueError on any invalid input, splitter
+    columns with no invertible pivot system included."""
 
     splitting: Splitting
     levels: int
-    pivots: tuple[int, ...] | None = None
+    pivots: tuple[int, ...] = field(init=False)
     free_coordinates: tuple[int, ...] = field(init=False, repr=False, compare=False)
     columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     free_columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
@@ -108,23 +101,13 @@ class CodeSpec:
         sp = self.splitting
         if len(set(sp.group.orders)) != 1:
             raise ValueError("codes need a group with equal cyclic orders")
-        v, k = sp.group.orders[0], sp.group.rank
+        v = sp.group.orders[0]
         [levels] = integers([self.levels], "levels")
         if levels <= 0 or levels % v != 0:
             raise ValueError(f"levels must be a positive multiple of {v}, got {levels}")
-        if self.pivots is None:
-            found = _unit_pivots(sp.splitters, range(sp.n), v)
-            if found is None:
-                raise ValueError("no invertible pivot system found among the splitter columns")
-        else:
-            pivots = tuple(integers(self.pivots, "pivot coordinates"))
-            if len(pivots) != k or len(set(pivots)) != k:
-                raise ValueError(f"need {k} distinct pivot coordinates")
-            if not all(0 <= i < sp.n for i in pivots):
-                raise ValueError("pivot coordinate out of range")
-            found = _unit_pivots(sp.splitters, pivots, v)
-            if found is None:
-                raise ValueError(f"pivot columns {pivots} are not invertible mod {v}")
+        found = _unit_pivots(sp.splitters, v)
+        if found is None:
+            raise ValueError("no invertible pivot system found among the splitter columns")
         pivots, inverse = found
         free = tuple(i for i in range(sp.n) if i not in pivots)
         columns = tuple(zip(*sp.splitters))
@@ -145,9 +128,9 @@ class CodeSpec:
         return self.levels // self.splitting.group.exponent
 
 
-def make_code(sp: Splitting, levels: int, pivots: tuple[int, ...] | None = None) -> CodeSpec:
-    """The code `CodeSpec(sp, levels, pivots)`, which validates its inputs."""
-    return CodeSpec(sp, levels, pivots)
+def make_code(sp: Splitting, levels: int) -> CodeSpec:
+    """The code `CodeSpec(sp, levels)`, which validates its inputs."""
+    return CodeSpec(sp, levels)
 
 
 def _word(cs: CodeSpec, word) -> list[int]:
@@ -174,8 +157,8 @@ def encode(cs: CodeSpec, info, quotients=0) -> tuple[int, ...]:
     """Systematic encoding.
 
     `info` fills the non-pivot coordinates (digits in [0, levels)), in
-    coordinate order; `quotients` gives one digit in [0, levels/q) per
-    pivot coordinate (a bare int is accepted when there is a single
+    coordinate order; `quotients` gives one digit in [0, levels/v) per
+    pivot coordinate, v the group exponent (a bare int is used for every
     pivot).  Pivot residues are solved so the syndrome vanishes.  Every
     digit must be an integer: a float raises ValueError, never truncated.
     """
@@ -233,7 +216,7 @@ def decode(cs: CodeSpec, word, table: SyndromeTable | None = None) -> Decoded:
     s = _syndrome(cs, word)
     if not any(s):
         return Decoded(tuple(word), None)
-    hit = table.lookup(s)
+    hit = table.entries.get(s)
     if hit is None:
         return Decoded(None, None)
     i, m = hit

@@ -9,9 +9,9 @@ Z_v^k, which `mixed_splitting` applies to the cyclic one.
 gives arbitrarily large dimensions at any fixed arm ratio below 1.
 
 Every constructor re-verifies its output with one scan of the product
-table, which decides both the packing and, by the counting condition,
-perfectness; a construction that fails its own verification is an
-internal fault, not a user error.  The two moves never scan.
+table, which decides both the packing and whether it tiles; a
+construction that fails its own verification is an internal fault, not
+a user error.  The two moves never scan.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ def _verified(sp: Splitting) -> Splitting:
         raise RuntimeError(
             f"construction produced a non-packing: {check.collision.describe()}"
         )
-    # a packing tiles iff its crosses fill the group
-    if sp.group.order != sp.shape.volume:
+    if not check.tiling:
         raise RuntimeError("construction produced a packing that is not a tiling")
     return sp
 

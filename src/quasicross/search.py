@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass
 from functools import cache, reduce
 from io import StringIO
 from itertools import chain, product
-from math import gcd, isnan
+from math import gcd, inf, isnan
 from operator import or_
 
 from .bounds import instance_feasibility
@@ -228,8 +228,7 @@ def search_tilings(
     out = []
     for values in canonical:
         sp = make_cyclic_splitting(q, k_plus, k_minus, values)
-        # one scan; a packing of Z_q tiles iff its crosses fill Z_q
-        if not verify_packing(sp).ok or q != sp.shape.volume:
+        if not verify_packing(sp).tiling:
             raise RuntimeError(f"search returned an invalid splitting {values} over Z_{q}")
         out.append(sp)
     return out
@@ -250,8 +249,14 @@ class SurveyRow:
     @staticmethod
     def from_json_dict(d: dict) -> "SurveyRow":
         """Inverse of `dataclasses.asdict`, once JSON has made its tuples
-        lists; a non-integer key, n or tiling entry raises ValueError."""
+        lists; a field of the wrong type raises ValueError."""
         json_int_list([d["k_plus"], d["k_minus"], d["q"], d["n"]], "k_plus, k_minus, q and n")
+        if type(d["ruled_out"]) is not bool or type(d["searched"]) is not bool:
+            raise ValueError("ruled_out and searched must be booleans")
+        if type(d["elapsed"]) not in (int, float) or not 0 <= d["elapsed"] < inf:
+            raise ValueError("elapsed must be a finite number of seconds >= 0")
+        if not isinstance(d["triggered"], list) or any(type(t) is not str for t in d["triggered"]):
+            raise ValueError("triggered must be a list of rule names")
         tilings = tuple(json_int_list(t, "each tiling") for t in d["tilings"])
         return SurveyRow(**{**d, "triggered": tuple(d["triggered"]), "tilings": tilings})
 
@@ -330,6 +335,8 @@ def survey(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     _check_time_limit(time_limit)
     grid = list(survey_instances(k_max, q_max))
+    if not grid:
+        raise ValueError(f"no instance with n >= 2 has k_plus <= {k_max} and q <= {q_max}")
     done = _read_log(progress_path) if progress_path else {}
     todo = [(*key, prune_with_bounds, time_limit) for key in grid if key not in done]
     with ExitStack() as stack:

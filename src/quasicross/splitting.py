@@ -5,10 +5,10 @@ M = {-k_minus, ..., -1, 1, ..., k_plus}, and an ordered splitter set
 S = (s_1, ..., s_n) in G.  S doubles as the parity-check matrix of the
 resulting code: the lattice is {x : sum x_i s_i = 0 in G}.
 
-`verify_packing` checks the defining property (all products m*s distinct
-and nonzero) and reports the first collision when it fails;
-`is_tiling` decides perfectness by the counting condition
-|G| = n*(k_plus + k_minus) + 1.
+`verify_packing` scans the products m*s once: are they distinct and
+nonzero (else the first collision), and do they with 0 fill G (a tiling,
+what `is_tiling` returns)?  The scan's table m*s_i -> (coordinate i,
+multiplier m) is the single-error syndrome table of the code.
 """
 
 from __future__ import annotations
@@ -106,8 +106,11 @@ class Collision:
 
 @dataclass(frozen=True)
 class PackingCheck:
+    """tiling: the products pack and, together with 0, fill G."""
+
     ok: bool
     collision: Collision | None = None
+    tiling: bool = False
 
 
 @dataclass(frozen=True)
@@ -145,9 +148,7 @@ class Splitting:
         return tuple(s[0] for s in self.splitters)
 
 
-def fmt_element(e: Element | None) -> str:
-    if e is None:
-        return "?"
+def fmt_element(e: Element) -> str:
     if len(e) == 1:
         return str(e[0])
     return "(" + ",".join(str(x) for x in e) + ")"
@@ -160,19 +161,20 @@ def make_cyclic_splitting(q: int, k_plus: int, k_minus: int, splitters) -> Split
 
 
 def _scan_products(sp: Splitting):
+    """The check and the table m*s_i -> (i, m) built on the way."""
     g = sp.group
     zero = g.zero
-    table: dict[Element, tuple[int, Element]] = {}
-    for s in sp.splitters:
+    table: dict[Element, tuple[int, int]] = {}
+    for i, s in enumerate(sp.splitters):
         for m in sp.multipliers:
             prod = g.scalar_mul(m, s)
             if prod == zero:
                 return PackingCheck(False, Collision(m, s, None, None, prod)), table
             if prod in table:
-                m0, s0 = table[prod]
-                return PackingCheck(False, Collision(m0, s0, m, s, prod)), table
-            table[prod] = (m, s)
-    return PackingCheck(True), table
+                i0, m0 = table[prod]
+                return PackingCheck(False, Collision(m0, sp.splitters[i0], m, s, prod)), table
+            table[prod] = (i, m)
+    return PackingCheck(True, tiling=len(table) + 1 == g.order), table
 
 
 def verify_packing(sp: Splitting) -> PackingCheck:
@@ -184,15 +186,11 @@ def verify_packing(sp: Splitting) -> PackingCheck:
 
 
 def is_tiling(sp: Splitting) -> bool:
-    """Perfectness: the products plus 0 exhaust G.
-
-    Given a verified packing this is exactly the counting condition
-    |G| = n*(k_plus+k_minus) + 1.  Raises on a non-packing.
-    """
+    """Perfectness: the products plus 0 exhaust G.  Raises on a non-packing."""
     check = verify_packing(sp)
     if not check.ok:
         raise ValueError(f"is_tiling called on a non-packing: {check.collision.describe()}")
-    return sp.group.order == sp.shape.volume
+    return check.tiling
 
 
 class Singularity(enum.Enum):

@@ -287,6 +287,7 @@ MALFORMED_LATTICES = {
     "row_not_list": '{"basis": [4, [3, 5]]}',
     "float_entry": '{"basis": [[4.5, 1], [3, 5]]}',
     "bool_entry": '{"basis": [[4, true], [3, 5]]}',
+    "not_square": '{"basis": [[4, 1, 0], [3, 5, 0]]}',
 }
 
 
@@ -300,6 +301,21 @@ def test_plot_malformed_lattice_exit_2(capsys, tmp_path, name):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["construct", "balance"], "construct balance needs --beta, a fraction like 2/3"),
+        (["plot"], "plot needs --splitting, or --lattice with --kplus/--kminus"),
+        (["encode", "--code", "CODE", "--levels", "17", "--info", "2", "--t", "0", "0"], "need 1 quotient digits"),
+    ],
+    ids=["balance-without-beta", "plot-without-input", "encode-two-t-digits"],
+)
+def test_missing_or_extra_input_exits_2_with_one_error_line(capsys, z17_json, argv, error):
+    # `construct balance` without --beta used to end in an AttributeError traceback
+    code, out, err = run_cli(capsys, *[z17_json if a == "CODE" else a for a in argv])
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_verify_reports_skipped_geometric_check(capsys, monkeypatch, z17_json):

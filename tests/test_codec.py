@@ -21,6 +21,7 @@ from quasicross import (
     two_one_splitting,
 )
 from quasicross import codec as codec_mod
+from quasicross.splitting import _scan_products
 
 import oracles
 
@@ -36,7 +37,7 @@ def z4_code(levels=4):
 def test_build_table_z17():
     table = SyndromeTable(make_cyclic_splitting(17, 3, 2, [1, 13]))
     assert len(table) == 10
-    assert table.lookup((9,)) == (1, 2)  # 2 * 13 = 26 = 9 mod 17
+    assert table.entries[(9,)] == (1, 2)  # 2 * 13 = 26 = 9 mod 17
     # oracle: same ten products
     expected = oracles.brute_products((17,), 3, 2, [(1,), (13,)])
     assert set(table.entries) == set(expected)
@@ -45,6 +46,21 @@ def test_build_table_z17():
 def test_build_table_z4():
     table = SyndromeTable(make_cyclic_splitting(4, 2, 1, [1]))
     assert table.entries == {(1,): (0, 1), (2,): (0, 2), (3,): (0, -1)}
+
+
+def test_table_is_the_scan_table(monkeypatch):
+    scanned = []
+
+    def scan(sp):
+        scanned.append(_scan_products(sp))
+        return scanned[-1]
+
+    monkeypatch.setattr(codec_mod, "_scan_products", scan)
+    sp = two_one_splitting(2)
+    table = SyndromeTable(sp)
+    [(check, products)] = scanned  # one scan, whose dict the table keeps
+    assert check.tiling and table.entries is products
+    assert products == {(m * s % 16,): (i, m) for i, s in enumerate((1, 3, 4, 5, 7)) for m in (-1, 1, 2)}
 
 
 def test_build_table_covers_tiling():
@@ -78,6 +94,13 @@ def test_encode_z4_with_quotient():
     cs = z4_code(levels=8)
     assert encode(cs, [], 1) == (4,)
     assert encode(cs, [], 0) == (0,)
+
+
+def test_encode_uses_a_bare_quotient_for_every_pivot():
+    cs = make_code(field_splitting(5, 2, 3, 1), 10)  # two pivots
+    info = (2, 3, 0, 4)
+    assert encode(cs, info, 1) == encode(cs, info, [1, 1])
+    assert encode(cs, info, 1) != encode(cs, info, [1, 0])
 
 
 def test_encode_validates_ranges():
@@ -121,13 +144,6 @@ def test_make_code_rejects_non_integer_levels(levels):
         make_code(make_cyclic_splitting(17, 3, 2, [1, 13]), levels)
 
 
-@pytest.mark.parametrize("pivots", [(0.7,), (1.0,), ("0",), (None,)])
-def test_make_code_rejects_non_integer_pivots(pivots):
-    # int() used to truncate pivots=(0.7,) to (0,)
-    with pytest.raises(ValueError, match="pivot coordinates must be integers"):
-        make_code(make_cyclic_splitting(17, 3, 2, [1, 13]), 17, pivots)
-
-
 def test_codec_accepts_integer_like_digits():
     class Digit:
         def __init__(self, value):
@@ -142,7 +158,7 @@ def test_codec_accepts_integer_like_digits():
     assert decode(cs, [Digit(8), Digit(4)]).codeword == (8, 2)
     assert syndrome(cs, (x for x in [Digit(8), Digit(4)])) == (9,)
     sp = make_cyclic_splitting(17, 3, 2, [1, 13])
-    assert make_code(sp, Digit(34), [Digit(1)]) == make_code(sp, 34, (1,))
+    assert make_code(sp, Digit(34)) == make_code(sp, 34)
 
 
 class Index:
@@ -159,7 +175,7 @@ def _z3_z9_code():
     # unequal cyclic orders: reducing both syndrome coordinates mod 3 would
     # call the non-codeword (0, 3, 0, 0), with image (0, 3), clean
     group = FiniteAbelianGroup((3, 9))
-    return Splitting(group, MultiplierSet(2, 1), ((1, 0), (0, 1), (1, 1), (1, 2))), 9, (0, 1)
+    return Splitting(group, MultiplierSet(2, 1), ((1, 0), (0, 1), (1, 1), (1, 2))), 9
 
 
 @pytest.mark.parametrize(
@@ -169,12 +185,9 @@ def _z3_z9_code():
         (make_cyclic_splitting(17, 3, 2, [1, 13]), 17.5),
         (make_cyclic_splitting(17, 3, 2, [1, 13]), 0),
         (make_cyclic_splitting(17, 3, 2, [1, 13]), 18),
-        (make_cyclic_splitting(17, 3, 2, [1, 13]), 17, (0, 0)),
-        (make_cyclic_splitting(17, 3, 2, [1, 13]), 17, (5,)),
-        (make_cyclic_splitting(16, 2, 1, [1, 3, 4, 5, 7]), 16, (2,)),
         (Splitting(FiniteAbelianGroup((4,)), MultiplierSet(2, 1), ((2,),)), 4),
     ],
-    ids=["Z3xZ9", "levels-17.5", "levels-0", "levels-18", "pivots-0-0", "pivot-5", "pivot-not-unit", "no-pivots"],
+    ids=["Z3xZ9", "levels-17.5", "levels-0", "levels-18", "no-pivots"],
 )
 def test_direct_codespec_rejects_what_make_code_rejects(args):
     with pytest.raises(ValueError) as via_make_code:
@@ -183,15 +196,13 @@ def test_direct_codespec_rejects_what_make_code_rejects(args):
         CodeSpec(*args)
 
 
-@pytest.mark.parametrize("levels, pivots", [(17, None), (34, None), (Index(34), None), (17, (1,)), (17, [Index(0)])])
-def test_direct_codespec_equals_make_code(levels, pivots):
+@pytest.mark.parametrize("levels", [17, 34, Index(34)])
+def test_direct_codespec_equals_make_code(levels):
     sp = make_cyclic_splitting(17, 3, 2, [1, 13])
-    cs = CodeSpec(sp, levels, pivots)
-    assert cs == make_code(sp, levels, pivots)
-    assert type(cs.levels) is int and all(type(i) is int for i in cs.pivots)
-    assert cs.pivot_inverse == make_code(sp, levels, pivots).pivot_inverse
-    if pivots is None:
-        assert CodeSpec(sp, levels) == CodeSpec(sp, levels, cs.pivots)
+    cs = CodeSpec(sp, levels)
+    assert cs == make_code(sp, levels)
+    assert type(cs.levels) is int and cs.pivots == (0,)
+    assert cs.pivot_inverse == make_code(sp, levels).pivot_inverse
 
 
 def test_auto_pivots_take_one_elimination(monkeypatch):
@@ -204,10 +215,8 @@ def test_auto_pivots_take_one_elimination(monkeypatch):
 
     monkeypatch.setattr(codec_mod, "_unit_pivots", counting)
     sp = mixed_splitting(5, 1, 3, 1, 3)
-    pivots = make_code(sp, 5).pivots
-    assert len(calls) == 1  # was 2: make_code chose the pivots, CodeSpec eliminated again
-    make_code(sp, 5, pivots)
-    assert len(calls) == 2
+    make_code(sp, 5)
+    assert calls == [(sp.splitters, 5)]  # was 2: make_code chose the pivots, CodeSpec eliminated again
 
 
 def test_decode_corrects_single_error():
@@ -242,11 +251,11 @@ def test_make_code_levels_validation():
 
 def test_make_code_pivot_validation():
     sp = make_cyclic_splitting(16, 2, 1, [1, 3, 4, 5, 7])
-    cs = make_code(sp, 16)
-    assert cs.pivots == (0,)
-    assert make_code(sp, 16, pivots=(1,)).pivots == (1,)
-    with pytest.raises(ValueError):
-        make_code(sp, 16, pivots=(2,))  # splitter 4 is not a unit mod 16
+    assert make_code(sp, 16).pivots == (0,)
+    # splitter 4 is not a unit mod 16, so the first unit column is the pivot
+    assert make_code(make_cyclic_splitting(16, 2, 1, [4, 3, 1]), 16).pivots == (1,)
+    with pytest.raises(ValueError, match="^no invertible pivot system found among the splitter columns$"):
+        make_code(make_cyclic_splitting(16, 2, 1, [2, 4, 6]), 16)
 
 
 def test_round_trip_all_single_errors_z16():
@@ -266,20 +275,6 @@ def test_round_trip_all_single_errors_z16():
                 assert result.correction == (i, m)
                 count += 1
     assert count == 200 * 15
-
-
-def test_round_trip_with_non_default_pivot():
-    sp = make_cyclic_splitting(16, 2, 1, [1, 3, 4, 5, 7])
-    cs = make_code(sp, 16, pivots=(1,))  # solve for the coordinate with splitter 3
-    table = SyndromeTable(sp)
-    c = encode(cs, (6, 2, 8, 15), 0)
-    assert c[0] == 6 and c[2:] == (2, 8, 15)
-    assert syndrome(cs, c) == (0,)
-    word = list(c)
-    word[4] += 2
-    result = decode(cs, word, table)
-    assert result.codeword == c
-    assert result.correction == (4, 2)
 
 
 def test_round_trip_exhaustive_n1():

@@ -1,14 +1,10 @@
 """Cross-checks of the structured lattice paths against the dense ones and
 against the independent oracles: the diagonal-product determinant, the
 sparse kernel HNF, the sparse coset reduction and the geometric check.
-Also the integer-column codec: its syndrome against `splitting.image`,
+Also the product scan's verdicts and table, and the integer-column codec: its syndrome against `splitting.image`,
 its stored pivot inverse, and encode/decode round trips."""
 
 from __future__ import annotations
-
-import itertools
-import re
-from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,6 +32,7 @@ from quasicross import (
 from quasicross.codec import SyndromeTable
 from quasicross.intlinalg import bareiss_det, reduce_mod_lattice
 from quasicross.lattice import GEOMETRIC_CHECK_MAX_VOLUME, GeometricReport, _kernel_lattice_general
+from quasicross.splitting import _scan_products
 
 import oracles
 
@@ -174,6 +171,18 @@ def test_geometric_check_overlap_matches_dense():
     assert report == dense_geometric_check(sp)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(splittings(), st.sampled_from(CONSTRUCTIONS)))
+def test_scan_decides_packing_tiling_and_the_syndrome_table(sp):
+    args = (sp.group.orders, sp.multipliers.k_plus, sp.multipliers.k_minus, sp.splitters)
+    check, table = _scan_products(sp)
+    assert check.ok == oracles.brute_is_packing(*args)
+    assert check.tiling == oracles.brute_is_tiling(*args)
+    if check.ok:
+        expected = oracles.brute_products(*args)
+        assert table == {prod: (sp.splitters.index(s), m) for prod, (m, s) in expected.items()}
+
+
 # --- integer-column codec -------------------------------------------------
 
 TABLES = {sp: SyndromeTable(sp) for sp in CONSTRUCTIONS}
@@ -182,17 +191,9 @@ construction_ids = st.sampled_from(range(len(CONSTRUCTIONS)))
 
 @st.composite
 def construction_codes(draw):
-    """A code on a constructed tiling with auto or random valid pivots."""
+    """A code on a constructed tiling."""
     sp = CONSTRUCTIONS[draw(construction_ids)]
-    v, k = sp.group.orders[0], sp.group.rank
-    levels = v * draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        return make_code(sp, levels)
-    pivots = tuple(draw(st.lists(st.integers(0, sp.n - 1), min_size=k, max_size=k, unique=True)))
-    try:
-        return make_code(sp, levels, pivots)
-    except ValueError:
-        assume(False)
+    return make_code(sp, sp.group.orders[0] * draw(st.integers(1, 3)))
 
 
 @st.composite
@@ -259,22 +260,6 @@ def test_round_trip_with_one_error(cs, data):
     assert decode(cs, codeword, TABLES[sp]).correction is None
 
 
-@settings(max_examples=300, deadline=None)
-@given(construction_ids, st.data())
-def test_make_code_rejects_exactly_the_singular_pivot_systems(j, data):
-    # every construction has a prime-power v, where unit-pivot elimination
-    # is complete: the system is invertible iff its determinant is a unit
-    sp = CONSTRUCTIONS[j]
-    v, k = sp.group.orders[0], sp.group.rank
-    pivots = tuple(data.draw(st.lists(st.integers(0, sp.n - 1), min_size=k, max_size=k, unique=True)))
-    a = [[sp.splitters[i][r] for i in pivots] for r in range(k)]
-    if gcd(int(oracles.fraction_det(a)), v) == 1:
-        assert make_code(sp, v, pivots).pivots == pivots
-    else:
-        with pytest.raises(ValueError, match=re.escape(f"pivot columns {pivots} are not invertible mod {v}")):
-            make_code(sp, v, pivots)
-
-
 @st.composite
 def prime_power_splittings(draw):
     """Random distinct splitters over (Z_{p^e})^k, packings or not."""
@@ -297,20 +282,6 @@ def test_auto_pivots_are_the_first_unit_determinant_subset(sp):
         return
     auto = make_code(sp, v)
     assert auto.pivots == expected
-    assert auto.pivot_inverse == make_code(sp, v, expected).pivot_inverse
-
-
-def test_make_code_non_invertible_pivot_message():
-    sp = two_one_splitting(2)  # splitters 1, 3, 4, 5, 7 over Z_16
-    with pytest.raises(ValueError, match=r"^pivot columns \(2,\) are not invertible mod 16$"):
-        make_code(sp, 16, (2,))
-    sp = mixed_splitting(5, 1, 3, 1, 3)  # the 31 points of the projective plane over F_5
-    pivots = next(
-        p for p in itertools.combinations(range(sp.n), 3)
-        if oracles.fraction_det([[sp.splitters[i][r] for i in p] for r in range(3)]) % 5 == 0
-    )
-    with pytest.raises(ValueError, match=re.escape(f"pivot columns {pivots} are not invertible mod 5")):
-        make_code(sp, 5, pivots)
 
 
 @pytest.mark.parametrize("sp", CONSTRUCTIONS, ids=lambda sp: f"{sp.group}-n{sp.n}")

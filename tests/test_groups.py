@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from quasicross import (
     IntegerLattice,
     MultiplierSet,
     QuasiCrossShape,
+    Splitting,
     balance_family,
     cyclic_group,
     cyclic_splitting,
@@ -18,9 +20,12 @@ from quasicross import (
     instance_feasibility,
     is_prime,
     make_cyclic_splitting,
+    matrix_extension,
     mixed_splitting,
+    negative_arm_bound,
     search_tilings,
     two_one_splitting,
+    unit_orbit_canonical,
 )
 from quasicross.bounds import shape_feasibility
 from quasicross.groups import prime_factors
@@ -170,3 +175,29 @@ def test_constructors_reject_non_integers(name, bad):
 def test_constructors_accept_and_store_index_integers(name):
     build, valid = INTEGER_GATES[name]
     assert build(Index(valid)) == build(valid)
+
+
+Z5_SQUARED = field_splitting(5, 2, 3, 1)
+
+# each call breaks a precondition of the function it calls
+PRECONDITIONS = {
+    "negative_arm_bound": (lambda: negative_arm_bound(QuasiCrossShape(3, 1, 1)), "negative-arm bound applies to n >= 2"),
+    "QuasiCrossShape": (lambda: QuasiCrossShape(3, 1, 0), "dimension must be >= 1"),
+    "Splitting": (lambda: Splitting(cyclic_group(17), MultiplierSet(3, 2), ()), "splitter set must be non-empty"),
+    "splitter_values": (lambda: Z5_SQUARED.splitter_values(), "splitter_values needs a cyclic group"),
+    "unit_orbit_canonical": (lambda: unit_orbit_canonical(Z5_SQUARED),
+                             "unit_orbit_canonical is defined for cyclic groups only"),
+    "two_one_splitting": (lambda: two_one_splitting(0), "ell must be >= 1"),
+    "matrix_extension_base": (lambda: matrix_extension(Z5_SQUARED, 2),
+                              "matrix_extension needs a base splitting of a cyclic group"),
+    "matrix_extension_k": (lambda: matrix_extension(cyclic_splitting(5, 1, 3, 1), 0), "k must be >= 1"),
+    "IntegerLattice": (lambda: IntegerLattice([[2, 0, 0], [1, 3, 0]]), "basis must be a non-empty square matrix"),
+    "contains": (lambda: IntegerLattice([[2, 0], [1, 3]]).contains([2, 0, 0]), "vector dimension mismatch"),
+}
+
+
+@pytest.mark.parametrize("name", PRECONDITIONS)
+def test_broken_preconditions_raise_value_error(name):
+    build, message = PRECONDITIONS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

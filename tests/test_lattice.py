@@ -333,3 +333,5 @@ def test_render_2d_rejects_other_dimensions():
         render_2d(IntegerLattice(((2,),)), QuasiCrossShape(2, 1, 1), 5)
     with pytest.raises(ValueError):
         render_2d(ex1_lattice(), QuasiCrossShape(3, 2, 3), 5)
+    with pytest.raises(ValueError, match="^lattice dimension must be 2$"):
+        render_2d(IntegerLattice(((2,),)), QuasiCrossShape(2, 1, 2), 5)

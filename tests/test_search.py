@@ -194,12 +194,17 @@ NAN_LIMIT = "time limit must be a number of seconds, got nan"
         ([*SURVEY_3_30, "--time-limit", "nan"], NAN_LIMIT),
         ([*SURVEY_3_30, "--jobs", "0"], "jobs must be >= 1, got 0"),
         ([*SURVEY_3_30, "--jobs", "-4"], "jobs must be >= 1, got -4"),
+        (["survey", "--kmax", "1"], "no instance with n >= 2 has k_plus <= 1 and q <= 100"),
+        (["survey", "--kmax", "3", "--qmax", "-5"], "no instance with n >= 2 has k_plus <= 3 and q <= -5"),
+        (["survey", "--kmax", "3", "--qmax", "6"], "no instance with n >= 2 has k_plus <= 3 and q <= 6"),
     ],
-    ids=["search-nan", "survey-nan", "survey-jobs-0", "survey-jobs-minus-4"],
+    ids=["search-nan", "survey-nan", "survey-jobs-0", "survey-jobs-minus-4",
+         "survey-kmax-1", "survey-qmax-minus-5", "survey-qmax-6"],
 )
 def test_nan_time_limit_and_jobs_below_1_exit_2_before_any_search(capsys, monkeypatch, argv, error):
-    # every comparison with nan is false, so a nan limit never ran out, and
-    # a job count below 1 ran the survey serially
+    # every comparison with nan is false, so a nan limit never ran out, a
+    # job count below 1 ran the survey serially, and an empty grid printed
+    # a bare CSV header
     def searched(*args):
         raise AssertionError("searched")
 
@@ -423,6 +428,17 @@ ROW_2_1_16 = '{"k_plus": 2, "k_minus": 1, "q": 16, "n": 5, "ruled_out": false, "
         ("bool-k_minus", '"k_minus": 1', '"k_minus": true'),
         ("float-tiling", "[[1, 3", "[[1.5, 3"),
         ("bool-tiling", "[[1, 3", "[[true, 3"),
+        # these used to pass, or to end `survey` in a TypeError traceback
+        ("string-elapsed", '"elapsed": 0.0', '"elapsed": "x"'),
+        ("bool-elapsed", '"elapsed": 0.0', '"elapsed": true'),
+        ("negative-elapsed", '"elapsed": 0.0', '"elapsed": -1.0'),
+        ("nan-elapsed", '"elapsed": 0.0', '"elapsed": NaN'),
+        ("infinite-elapsed", '"elapsed": 0.0', '"elapsed": Infinity'),
+        ("string-searched", '"searched": true', '"searched": "no"'),
+        ("list-ruled_out", '"ruled_out": false', '"ruled_out": [1]'),
+        ("int-ruled_out", '"ruled_out": false', '"ruled_out": 0'),
+        ("string-triggered", '"triggered": []', '"triggered": "two-power-order"'),
+        ("int-in-triggered", '"triggered": []', '"triggered": [1]'),
     ]],
 )
 @pytest.mark.parametrize("position", [0, 3, -1])
@@ -440,6 +456,26 @@ def test_survey_rejects_malformed_complete_line(capsys, tmp_path, bad, position)
     assert code == 2
     assert "not a survey row" in capsys.readouterr().err
     assert log.read_bytes() == before
+
+
+def test_survey_skips_blank_log_lines(monkeypatch, tmp_path):
+    log = tmp_path / "progress.jsonl"
+    fresh = survey(k_max=2, q_max=40, progress_path=str(log))
+    lines = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(b"".join(lines[:2] + [b"\n", b"  \n"] + lines[2:]))
+
+    def searched(args):
+        raise AssertionError(f"searched {args}")
+
+    monkeypatch.setattr(search_mod, "_run_instance", searched)  # every row is logged
+    assert survey(k_max=2, q_max=40, progress_path=str(log)) == fresh
+
+
+def test_survey_summary_reports_a_conflict():
+    row = search_mod.SurveyRow(2, 1, 16, 5, True, ("two-power-order",), True, ((1, 3, 4, 5, 7),), 0.5)
+    summary = survey_summary([row, dataclasses.replace(row, q=64, n=21)])
+    assert "  CONFLICT: 2 ruled-out instances have tilings\n" in summary
+    assert "rules consistent" not in summary
 
 
 def held_survey(tmp_path, argv, **popen):
