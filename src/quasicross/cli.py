@@ -43,16 +43,17 @@ def _emit(args, text_lines: list[str], payload: dict) -> None:
             print(line)
 
 
+# the constructor of each kind and the flags it takes, in order
+_CONSTRUCTIONS = {
+    "cyclic": (cons.cyclic_splitting, ("p", "ell", "kplus", "kminus")),
+    "field": (cons.field_splitting, ("p", "ell", "kplus", "kminus")),
+    "two-one": (cons.two_one_splitting, ("ell",)),
+    "mixed": (cons.mixed_splitting, ("p", "ell", "kplus", "kminus", "k")),
+}
+
+
 def _cmd_construct(args) -> int:
-    if args.kind == "cyclic":
-        sp = cons.cyclic_splitting(args.p, args.ell, args.kplus, args.kminus)
-    elif args.kind == "field":
-        sp = cons.field_splitting(args.p, args.ell, args.kplus, args.kminus)
-    elif args.kind == "two-one":
-        sp = cons.two_one_splitting(args.ell)
-    elif args.kind == "mixed":
-        sp = cons.mixed_splitting(args.p, args.ell, args.kplus, args.kminus, args.k)
-    elif args.kind == "balance":
+    if args.kind == "balance":
         a, b = _parse_ratio(args.beta)
         member = cons.balance_family(a, b, args.index)
         sp = member.splitting
@@ -60,8 +61,12 @@ def _cmd_construct(args) -> int:
             f"p={member.prime} k_plus={member.k_plus} k_minus={member.k_minus}",
             file=sys.stderr,
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown construction {args.kind}")
+    else:
+        build, flags = _CONSTRUCTIONS[args.kind]
+        values = [getattr(args, flag) for flag in flags]
+        if None in values:
+            raise ValueError(f"construct {args.kind} needs --{flags[values.index(None)]}")
+        sp = build(*values)
     print(split_mod.to_json(sp))
     return EXIT_OK
 
@@ -168,6 +173,8 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.q is not None and args.n is not None:
+        raise ValueError("bounds takes --n (shape bounds) or --q (group rules), not both")
     if args.q is not None:
         report = bounds_mod.instance_feasibility(args.kplus, args.kminus, args.q)
     elif args.n is not None:
@@ -260,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_con = sub.add_parser("construct", help="emit a splitting as JSON")
-    p_con.add_argument("kind", choices=["cyclic", "field", "two-one", "mixed", "balance"])
+    p_con.add_argument("kind", choices=[*_CONSTRUCTIONS, "balance"])
     p_con.add_argument("--p", type=int, help="prime base")
     p_con.add_argument("--ell", type=int, default=1, help="power / degree")
     p_con.add_argument("--kplus", type=int, help="positive arm length")
@@ -346,7 +353,7 @@ def main(argv=None) -> int:
     previous = signal.signal(signal.SIGINT, _interrupt)
     try:
         return args.func(args)
-    except (ValueError, OSError, search_mod.SearchTimeout) as exc:
+    except (ValueError, OverflowError, OSError, search_mod.SearchTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:

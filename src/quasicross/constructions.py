@@ -142,10 +142,10 @@ def matrix_extension(base: Splitting, k: int) -> Splitting:
                 f"multiplier {m} is not coprime to the group order {v}; "
                 "the matrix extension does not produce a packing"
             )
-    if k == 1:
-        return base
-    orders, columns = reduce(_product, [(base.group.orders, base.splitters)] * k)
-    sp = Splitting(FiniteAbelianGroup(orders), base.multipliers, tuple(columns))
+    sp = base
+    if k > 1:
+        orders, columns = reduce(_product, [(base.group.orders, base.splitters)] * k)
+        sp = Splitting(FiniteAbelianGroup(orders), base.multipliers, tuple(columns))
     if not verify_packing(sp).ok:
         raise ValueError(f"base {list(base.splitter_values())} of Z_{v} is not a packing")
     return sp
@@ -190,15 +190,13 @@ def balance_family(numerator: int, denominator: int, index: int) -> BalanceFamil
         raise ValueError("index is 1-based")
     d = a + b
     seen = 0
-    p = d + 1
-    while p <= _PRIME_SCAN_CAP:
-        if p % d == 1 and is_prime(p):
+    for p in range(d + 1, _PRIME_SCAN_CAP + 1, d):
+        if is_prime(p):
             seen += 1
             if seen == index:
                 t = (p - 1) // d
                 sp = cyclic_splitting(p, 1, t * b, t * a)
                 return BalanceFamilyMember(a, b, index, p, t * b, t * a, sp)
-        p += 1
-    raise RuntimeError(
+    raise ValueError(
         f"no {index} primes = 1 (mod {d}) found below {_PRIME_SCAN_CAP}"
     )

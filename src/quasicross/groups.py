@@ -27,19 +27,8 @@ def integers(values, what: str) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (intended for small n)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Primality by the trial division of `prime_factors`."""
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import prod
 
 from .groups import integers
-from .intlinalg import SparseRow, bareiss_det, hnf_lower, kernel_hnf, left_kernel, reduce_mod_lattice
+from .intlinalg import SparseRow, bareiss_det, hnf_lower, kernel_hnf, reduce_mod_lattice
 from .splitting import QuasiCrossShape, Splitting, json_int_list
 
 GEOMETRIC_CHECK_MAX_VOLUME = 100_000
@@ -101,25 +101,6 @@ def lattice_from_splitting(sp: Splitting) -> IntegerLattice:
     nonzero column; (Z_v)^k whose first k splitters generate has k.
     """
     return IntegerLattice.from_rows(tuple(kernel_hnf(sp.splitters, sp.group.orders)))
-
-
-def _kernel_lattice_general(sp: Splitting) -> IntegerLattice:
-    """Dense reference for `lattice_from_splitting`: the left kernel of the
-    stacked (n+k) x k integer system whose top block holds the splitter
-    columns and whose bottom block is the negated diagonal of cyclic
-    orders (projecting kernel rows onto the first n coordinates is an
-    isomorphism onto the lattice), brought into HNF."""
-    orders = sp.group.orders
-    k = len(orders)
-    n = sp.n
-    stacked = [[sp.splitters[i][j] for j in range(k)] for i in range(n)]
-    for j in range(k):
-        stacked.append([-orders[j] if jj == j else 0 for jj in range(k)])
-    kernel = left_kernel(stacked)
-    basis = [row[:n] for row in kernel]
-    if len(basis) != n:
-        raise RuntimeError(f"kernel rank {len(basis)} != {n}")
-    return IntegerLattice(hnf_lower(basis))
 
 
 def determinant(lat: IntegerLattice) -> int:

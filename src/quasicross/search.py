@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass
 from functools import cache, reduce
 from io import StringIO
 from itertools import chain, product
-from math import gcd, inf, isnan
+from math import gcd, inf
 from operator import or_
 
 from .bounds import instance_feasibility
@@ -65,9 +65,10 @@ class SearchTimeout(Exception):
 
 
 def _check_time_limit(time_limit: float | None) -> None:
-    # every comparison with nan is false, so a nan deadline would never pass
-    if time_limit is not None and isnan(time_limit):
-        raise ValueError("time limit must be a number of seconds, got nan")
+    # a negative limit has passed before the first search starts, and a nan
+    # one never passes, since every comparison with nan is false
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time limit must be a number of seconds, got {time_limit}")
 
 
 def _cover_blocks(q: int, multipliers: MultiplierSet, check_clock):
@@ -328,8 +329,8 @@ def survey(
     each other.  A progress file (JSON lines) makes interrupted runs
     resumable: each row is appended and flushed as soon as it and every
     row before it in grid order are done, and a rerun searches only the
-    instances the log lacks.  Logged rows are reused as-is, so keep one
-    log per mode.
+    instances the log lacks, and with pruning off also those it logged
+    unsearched.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -338,7 +339,9 @@ def survey(
     if not grid:
         raise ValueError(f"no instance with n >= 2 has k_plus <= {k_max} and q <= {q_max}")
     done = _read_log(progress_path) if progress_path else {}
-    todo = [(*key, prune_with_bounds, time_limit) for key in grid if key not in done]
+    # an unsearched row, left by a pruned run, is redone by an unpruned one
+    reused = {key for key, row in done.items() if row.searched or prune_with_bounds}
+    todo = [(*key, prune_with_bounds, time_limit) for key in grid if key not in reused]
     with ExitStack() as stack:
         log = stack.enter_context(open(progress_path, "a", encoding="utf-8")) if progress_path else None
         if jobs > 1 and len(todo) > 1:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 
 def multiplier_list(k_plus: int, k_minus: int) -> list[int]:
@@ -95,6 +95,41 @@ def in_row_lattice(basis, vector) -> bool:
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
                 rhs[r] -= f * rhs[c]
     return all(coeff.denominator == 1 for coeff in rhs)
+
+
+def span_size(orders, splitters) -> int:
+    """|<S>|, by closing {0} under adding each splitter."""
+    seen = {(0,) * len(orders)}
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for s in splitters:
+            y = tuple((a + b) % d for a, b, d in zip(x, s, orders))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return len(seen)
+
+
+def is_kernel_hnf(orders, splitters, basis) -> bool:
+    """Whether `basis` is the lower-triangular HNF of the kernel of
+    x -> sum x_i s_i: every row maps to 0; the rows are in HNF (positive
+    diagonal, zeros above it, each entry below a pivot in [0, pivot));
+    and the diagonal product equals |<S>|, the kernel's index in Z^n.  A
+    full-rank sublattice of the kernel with the kernel's index is the
+    kernel, and a lattice has one HNF."""
+    n = len(splitters)
+    if len(basis) != n or any(len(row) != n for row in basis):
+        return False
+    for row in basis:
+        if any(sum(x * s[j] for x, s in zip(row, splitters)) % d for j, d in enumerate(orders)):
+            return False
+    for i, row in enumerate(basis):
+        if row[i] <= 0 or any(row[i + 1 :]):
+            return False
+        if any(not 0 <= x < basis[j][j] for j, x in enumerate(row[:i])):
+            return False
+    return prod(basis[i][i] for i in range(n)) == span_size(orders, splitters)
 
 
 def first_unit_pivots(splitters, modulus):

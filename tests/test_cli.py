@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import signal
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasicross import from_json, to_json, make_cyclic_splitting
 from quasicross import search as search_mod
@@ -309,11 +313,19 @@ def test_plot_malformed_lattice_exit_2(capsys, tmp_path, name):
         (["construct", "balance"], "construct balance needs --beta, a fraction like 2/3"),
         (["plot"], "plot needs --splitting, or --lattice with --kplus/--kminus"),
         (["encode", "--code", "CODE", "--levels", "17", "--info", "2", "--t", "0", "0"], "need 1 quotient digits"),
+        (["construct", "cyclic"], "construct cyclic needs --p"),
+        (["construct", "field", "--p", "5"], "construct field needs --kplus"),
+        (["construct", "mixed", "--p", "5", "--kplus", "3"], "construct mixed needs --kminus"),
+        (["bounds", "--kplus", "3", "--kminus", "1", "--n", "2", "--q", "21"],
+         "bounds takes --n (shape bounds) or --q (group rules), not both"),
     ],
-    ids=["balance-without-beta", "plot-without-input", "encode-two-t-digits"],
+    ids=["balance-without-beta", "plot-without-input", "encode-two-t-digits", "cyclic-without-p",
+         "field-without-kplus", "mixed-without-kminus", "bounds-n-and-q"],
 )
 def test_missing_or_extra_input_exits_2_with_one_error_line(capsys, z17_json, argv, error):
-    # `construct balance` without --beta used to end in an AttributeError traceback
+    # `construct balance` without --beta used to end in an AttributeError
+    # traceback; the other kinds blamed a malformed value for a missing
+    # flag, and `bounds` dropped --n when --q was given
     code, out, err = run_cli(capsys, *[z17_json if a == "CODE" else a for a in argv])
     assert (code, out, err) == (2, "", f"error: {error}\n")
 
@@ -344,3 +356,114 @@ def test_interrupt_exits_130_and_restores_the_sigint_handler(capsys, monkeypatch
     assert signal.getsignal(signal.SIGINT) is before
     assert run_cli(capsys, "bounds", "--kplus", "2", "--kminus", "1", "--q", "16")[0] == 0
     assert signal.getsignal(signal.SIGINT) is before
+
+
+# --- fuzzed input files ---------------------------------------------------
+
+# small integers, and integers past 2**63, which fail before anything is
+# allocated; arms between about 10**7 and 2**63 would allocate first
+fuzz_ints = st.one_of(
+    st.integers(-3, 30), st.integers(2**63, 2**100), st.integers(-(2**100), -(2**63))
+)
+fuzz_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), fuzz_ints, st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def documents(draw, fields):
+    """An object with the reader's fields, each drawn from its own strategy,
+    or half the time with one of them any JSON value."""
+    doc = {key: draw(strategy) for key, strategy in fields.items()}
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(sorted(fields)))] = draw(fuzz_json)
+    return doc
+
+
+@st.composite
+def splitting_docs(draw):
+    rank = draw(st.integers(1, 2))
+    int_rows = st.lists(fuzz_ints, min_size=rank, max_size=rank)
+    return draw(documents({
+        "orders": int_rows,
+        "k_plus": fuzz_ints,
+        "k_minus": fuzz_ints,
+        "splitters": st.lists(int_rows, min_size=1, max_size=5),
+    }))
+
+
+short_rows = st.lists(fuzz_ints, max_size=3)
+lattice_docs = documents({"basis": st.lists(short_rows, max_size=3)})
+row_ints = st.one_of(st.sampled_from([1, 2, 7, 10, 16]), fuzz_ints)
+row_docs = documents({
+    "k_plus": row_ints,
+    "k_minus": row_ints,
+    "q": row_ints,
+    "n": row_ints,
+    "ruled_out": st.booleans(),
+    "triggered": st.lists(st.text(max_size=4), max_size=2),
+    "searched": st.booleans(),
+    "tilings": st.lists(short_rows, max_size=2),
+    "elapsed": st.floats(),
+})
+
+
+def one_value(docs):
+    return st.one_of(docs, fuzz_json).map(json.dumps)
+
+
+def log_lines(docs):
+    return st.lists(st.one_of(docs, fuzz_json), min_size=1, max_size=3).map(
+        lambda values: "".join(json.dumps(v) + "\n" for v in values)
+    )
+
+
+BIG_ARMS = json.dumps({"orders": [17], "k_plus": 10**30, "k_minus": 2, "splitters": [[1], [13]]})
+
+# each CLI reader of a JSON file: its argv, with FILE for the path, and
+# the text it reads
+READERS = {
+    "verify": (["verify", "FILE"], one_value(splitting_docs())),
+    "lattice": (["lattice", "FILE"], one_value(splitting_docs())),
+    "encode": (["encode", "--code", "FILE", "--levels", "34", "--info", "1", "--t", "0"],
+               one_value(splitting_docs())),
+    "decode": (["decode", "--code", "FILE", "--levels", "34", "--word", "1", "2"],
+               one_value(splitting_docs())),
+    "plot": (["plot", "--lattice", "FILE", "--kplus", "3", "--kminus", "2"], one_value(lattice_docs)),
+    "survey": (["survey", "--kmax", "2", "--qmax", "20", "--progress", "FILE"], log_lines(row_docs)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_fuzzed_input_files_exit_0_1_or_2_without_a_traceback(tmp_path_factory, reader):
+    argv, texts = READERS[reader]
+    path = tmp_path_factory.mktemp(reader) / "input.json"
+    argv = [str(path) if a == "FILE" else a for a in argv]
+
+    @settings(max_examples=60, deadline=None)
+    @given(texts)
+    @example(BIG_ARMS)
+    def check(text):
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+
+    check()
+
+
+def test_verify_of_arms_past_2_63_exits_2(capsys, tmp_path):
+    # building the multiplier tuple raised OverflowError out of `main`
+    path = tmp_path / "big.json"
+    path.write_text(BIG_ARMS, encoding="utf-8")
+    assert run_cli(capsys, "verify", str(path)) == (
+        2, "", "error: Python int too large to convert to C ssize_t\n"
+    )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from functools import reduce
 
 import pytest
@@ -16,6 +17,7 @@ from quasicross import (
     two_one_splitting,
     verify_packing,
 )
+from quasicross.cli import main
 
 import oracles
 
@@ -158,6 +160,12 @@ def test_matrix_extension_k1_is_identity():
     assert matrix_extension(base, 1) is base
 
 
+def test_matrix_extension_k1_rejects_non_packing_base():
+    base = make_cyclic_splitting(17, 3, 2, [1, 2])  # 2 * 1 = 1 * 2 collide
+    with pytest.raises(ValueError, match=r"base \[1, 2\] of Z_17 is not a packing"):
+        matrix_extension(base, 1)
+
+
 def test_matrix_extension_preserves_packing_only_base():
     base = make_cyclic_splitting(17, 3, 2, [1, 13])  # packing, not tiling
     ext = matrix_extension(base, 2)
@@ -202,6 +210,16 @@ def test_balance_family_preconditions():
         balance_family(3, 2, 1)  # ratio above 1
     with pytest.raises(ValueError):
         balance_family(1, 2, 0)  # 1-based index
+
+
+def test_balance_family_past_the_prime_scan_cap_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(constructions, "_PRIME_SCAN_CAP", 50)
+    assert balance_family(1, 2, 6).prime == 43  # the last prime = 1 (mod 3) below the cap
+    error = "no 7 primes = 1 (mod 3) found below 50"
+    with pytest.raises(ValueError, match=re.escape(error)):
+        balance_family(1, 2, 7)
+    assert main(["construct", "balance", "--beta", "1/2", "--index", "100"]) == 2
+    assert capsys.readouterr() == ("", "error: no 100 primes = 1 (mod 3) found below 50\n")
 
 
 def one(p):

@@ -18,6 +18,7 @@ from quasicross import (
     lattice_from_splitting,
     lattice_to_json,
     make_cyclic_splitting,
+    mixed_splitting,
     packing_density,
     period,
     render_2d,
@@ -71,17 +72,46 @@ def test_trivial_kernel_n1():
     assert lat.basis == ((4,),)
 
 
-def test_closed_form_matches_general_kernel():
-    from quasicross.lattice import _kernel_lattice_general
+KERNEL_CASES = [
+    cyclic_splitting(5, 2, 3, 1),
+    field_splitting(5, 2, 3, 1),
+    two_one_splitting(2),
+    make_cyclic_splitting(16, 2, 1, [5, 1, 3, 4, 7]),  # unit first, unsorted
+    make_cyclic_splitting(17, 3, 2, [1, 13]),
+    mixed_splitting(5, 1, 3, 1, 2),
+    make_cyclic_splitting(8, 2, 1, [2, 6]),  # generates an index-2 subgroup
+]
 
-    cases = [
-        cyclic_splitting(5, 2, 3, 1),
-        two_one_splitting(2),
-        make_cyclic_splitting(17, 3, 2, [1, 13]),
-        make_cyclic_splitting(16, 2, 1, [5, 1, 3, 4, 7]),  # unit first, unsorted
-    ]
-    for sp in cases:
-        assert lattice_from_splitting(sp).basis == _kernel_lattice_general(sp).basis
+
+def test_closed_form_matches_general_kernel():
+    for sp in KERNEL_CASES:
+        basis = lattice_from_splitting(sp).basis
+        assert oracles.is_kernel_hnf(sp.group.orders, sp.splitters, basis)
+
+
+def test_kernel_oracle_rejects_single_entry_mutants():
+    # a doubled pivot, the exponent of G just above a pivot (the row stays
+    # in the kernel), and each entry below a pivot shifted by 1 within
+    # [0, pivot) or raised by its pivot out of that range
+    rejected = 0
+    for sp in KERNEL_CASES:
+        basis = [list(row) for row in lattice_from_splitting(sp).basis]
+        mutants = []
+        for i, row in enumerate(basis):
+            mutants.append((i, i, 2 * row[i]))
+            if i + 1 < sp.n:
+                mutants.append((i, i + 1, sp.group.exponent))
+            for j in range(i):
+                pivot = basis[j][j]
+                if pivot > 1:
+                    mutants.append((i, j, (row[j] + 1) % pivot))
+                mutants.append((i, j, row[j] + pivot))
+        for i, j, value in mutants:
+            mutant = [list(row) for row in basis]
+            mutant[i][j] = value
+            assert not oracles.is_kernel_hnf(sp.group.orders, sp.splitters, mutant)
+            rejected += 1
+    assert rejected > 100
 
 
 def test_hnf_canonicalizes_equivalent_bases():

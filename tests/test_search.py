@@ -192,19 +192,24 @@ NAN_LIMIT = "time limit must be a number of seconds, got nan"
     [
         (["search", "--kplus", "2", "--kminus", "1", "--q", "64", "--time-limit", "nan"], NAN_LIMIT),
         ([*SURVEY_3_30, "--time-limit", "nan"], NAN_LIMIT),
+        (["search", "--kplus", "2", "--kminus", "1", "--q", "16", "--time-limit", "-1"],
+         "time limit must be a number of seconds, got -1.0"),
+        ([*SURVEY_3_30, "--time-limit", "-1"], "time limit must be a number of seconds, got -1.0"),
+        ([*SURVEY_3_30, "--time-limit=-inf"], "time limit must be a number of seconds, got -inf"),
         ([*SURVEY_3_30, "--jobs", "0"], "jobs must be >= 1, got 0"),
         ([*SURVEY_3_30, "--jobs", "-4"], "jobs must be >= 1, got -4"),
         (["survey", "--kmax", "1"], "no instance with n >= 2 has k_plus <= 1 and q <= 100"),
         (["survey", "--kmax", "3", "--qmax", "-5"], "no instance with n >= 2 has k_plus <= 3 and q <= -5"),
         (["survey", "--kmax", "3", "--qmax", "6"], "no instance with n >= 2 has k_plus <= 3 and q <= 6"),
     ],
-    ids=["search-nan", "survey-nan", "survey-jobs-0", "survey-jobs-minus-4",
-         "survey-kmax-1", "survey-qmax-minus-5", "survey-qmax-6"],
+    ids=["search-nan", "survey-nan", "search-negative", "survey-negative", "survey-minus-inf",
+         "survey-jobs-0", "survey-jobs-minus-4", "survey-kmax-1", "survey-qmax-minus-5", "survey-qmax-6"],
 )
 def test_nan_time_limit_and_jobs_below_1_exit_2_before_any_search(capsys, monkeypatch, argv, error):
     # every comparison with nan is false, so a nan limit never ran out, a
-    # job count below 1 ran the survey serially, and an empty grid printed
-    # a bare CSV header
+    # negative one ran out in the first search after logging the ruled-out
+    # rows before it, a job count below 1 ran the survey serially, and an
+    # empty grid printed a bare CSV header
     def searched(*args):
         raise AssertionError("searched")
 
@@ -552,3 +557,15 @@ def test_survey_returns_only_its_grid_from_a_wider_log(tmp_path):
     assert [(r.k_plus, r.k_minus, r.q) for r in narrow] == list(survey_instances(2, 30))
     assert narrow == [r for r in wide if (r.k_plus, r.k_minus, r.q) in set(survey_instances(2, 30))]
     assert len(logged(log)) == len(wide)
+
+
+def test_unpruned_rerun_searches_what_a_pruned_log_skipped(tmp_path):
+    log = tmp_path / "progress.jsonl"
+    pruned = survey(k_max=3, q_max=40, progress_path=str(log))
+    assert not all(r.searched for r in pruned)
+    rerun = survey(k_max=3, q_max=40, prune_with_bounds=False, progress_path=str(log))
+    assert strip(rerun) == strip(survey(k_max=3, q_max=40, prune_with_bounds=False))
+    # a pruned run reuses every row, searched or not, and appends nothing
+    lines = len(logged(log))
+    assert strip(survey(k_max=3, q_max=40, progress_path=str(log))) == strip(rerun)
+    assert len(logged(log)) == lines
