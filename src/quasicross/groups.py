@@ -27,25 +27,30 @@ def integers(values, what: str) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Primality by the trial division of `prime_factors`."""
-    return n >= 2 and prime_factors(n) == [n]
+    """Primality by the trial division of `prime_factors`, stopped at the
+    first factor found."""
+    return n >= 2 and next(_trial_division(n)) == n
 
 
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n >= 1, ascending."""
     if n < 1:
         raise ValueError("prime_factors needs n >= 1")
-    out = []
+    return list(_trial_division(n))
+
+
+def _trial_division(n: int):
+    """The distinct prime factors of n >= 1, ascending, each yielded as
+    soon as it is found."""
     f = 2
     while f * f <= n:
         if n % f == 0:
-            out.append(f)
+            yield f
             while n % f == 0:
                 n //= f
         f += 1 if f == 2 else 2
     if n > 1:
-        out.append(n)
-    return out
+        yield n
 
 
 @dataclass(frozen=True)

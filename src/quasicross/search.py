@@ -26,6 +26,28 @@ nonzero residues.  The covered residues and the still-live splitters
   live candidate ends the branch at once, and since every residue must
   be covered, branching on any one of them loses no solution.
 
+The set-up before the search rests on three facts.  Write M for the
+multipliers, the nonzero integers in [-k_minus, k_plus], span =
+k_plus + k_minus = |M|, and ord(s) = q/gcd(s, q) for the order of s.
+
+* The valid splitters.  The products m*s (m in M) are distinct and
+  nonzero iff ord(s) > span.  m*s = m'*s iff ord(s) | m - m', and m*s = 0
+  iff ord(s) | m, so the products fail exactly when ord(s) divides a
+  nonzero value of M or of M - M.  Up to sign these values are exactly
+  {1, ..., span}: M holds 1..k_plus, k_plus - m for m in [-k_minus, -1]
+  gives k_plus+1..span, and none exceeds span.  ord(s) divides one of
+  1..span iff ord(s) <= span.
+* The holders from positive multiples.  (-m)*s = p iff m*s = -p.  With
+  P_j(p) the valid s having m*s = p for some m in [1, j], the splitters
+  whose block holds p are P_k_plus(p) | P_k_minus(-p), and since
+  k_minus < k_plus, P_k_minus is P_k_plus part-way built.
+* The orbit minimum from the unit splitters.  A unit scaling permutes
+  Z_q and fixes 0, so the sorted members of an orbit hold the same
+  number of zeros, and after them a tuple holding 1 is smaller than one
+  without.  u*s = 1 only for a unit s and u = s^-1.  So when S holds a
+  unit, the smallest member is u*S for u = s^-1 with s a unit of S; only
+  when S holds none must every unit be tried.
+
 Nonsingular q, every prime of q above k_plus: M splits Z_q exactly when
 it splits Z_p for each prime p | q.  Necessity: a unit m keeps the order
 of an element, so the splitters of order p split the order-p subgroup,
@@ -71,25 +93,23 @@ def _check_time_limit(time_limit: float | None) -> None:
         raise ValueError(f"time limit must be a number of seconds, got {time_limit}")
 
 
-def _cover_blocks(q: int, multipliers: MultiplierSet, check_clock):
-    """Per-splitter coverage bitmasks over the residues and, per residue,
-    the bitmask of the splitters whose block contains it.  Splitters whose
-    products collide or hit zero are dropped up front.  The masks take
-    O(q^2) bits, so the deadline is checked once per splitter."""
+def _cover_blocks(q: int, multipliers: MultiplierSet, check_clock) -> list[int]:
+    """Per residue p, the bitmask of the valid splitters whose block holds
+    p, built from the positive multiples alone (both facts in the module
+    docstring).  The masks take O(q^2) bits, so the deadline is checked
+    once per multiplier pass."""
     span = len(multipliers)
-    blocks: dict[int, int] = {}
+    valid = [s for s in range(1, q) if gcd(s, q) * span < q]  # ord(s) > span
     holders = [0] * q
-    for s in range(1, q):
+    for m in range(1, multipliers.k_plus + 1):
         check_clock()
-        prods = {(m * s) % q for m in multipliers}
-        if 0 in prods or len(prods) != span:
-            continue
-        mask, bit = 0, 1 << s
-        for p in prods:
-            mask |= 1 << p
-            holders[p] |= bit
-        blocks[s] = mask
-    return blocks, holders
+        for s in valid:
+            holders[m * s % q] |= 1 << s
+        if m == multipliers.k_minus:
+            negatives = holders.copy()
+    for p in range(q):
+        holders[p] |= negatives[-p]  # negatives[-p] is the residue -p mod q
+    return holders
 
 
 def _scaled(q: int, u: int, values) -> tuple[int, ...]:
@@ -97,7 +117,10 @@ def _scaled(q: int, u: int, values) -> tuple[int, ...]:
 
 
 def _orbit_min(q: int, values: tuple[int, ...]) -> tuple[int, ...]:
-    return min(_scaled(q, u, values) for u in range(1, q) if gcd(u, q) == 1)
+    # when S holds a unit, only the inverses of its units can reach the
+    # minimum; otherwise every unit is tried (see the module docstring)
+    inverses = [pow(s, -1, q) for s in values if gcd(s, q) == 1]
+    return min(_scaled(q, u, values) for u in inverses or range(1, q) if gcd(u, q) == 1)
 
 
 def unit_orbit_canonical(sp: Splitting) -> Splitting:
@@ -147,7 +170,6 @@ def search_tilings(
     _check_time_limit(time_limit)
     deadline = time.monotonic() + time_limit if time_limit is not None else None
     multipliers = MultiplierSet(k_plus, k_minus)
-    span = len(multipliers)
     q = cyclic_group(q).order  # an integer >= 2, or ValueError
 
     def check_clock() -> None:
@@ -156,24 +178,26 @@ def search_tilings(
 
     u, sizes = _class_sizes(q, multipliers.k_plus)
     check_clock()
-    if any(size % span for size in sizes.values()):
+    if any(size % len(multipliers) for size in sizes.values()):
         return []
-    blocks, holders = _cover_blocks(q, multipliers, check_clock)
+    holders = _cover_blocks(q, multipliers, check_clock)
     residues = {d: 0 for d, size in sizes.items() if size}  # d -> C_d as a bitmask
     for r in range(1, q):
         residues[gcd(r, u)] |= 1 << r
     full = (1 << q) - 2  # residues 1..q-1
-    # 1 is fixed in S (see the module docstring).  It has a block: span
-    # divides the class sizes, which sum to q-1, so q > span and the
-    # multipliers are distinct nonzero residues.
+    # 1 is fixed in S (see the module docstring).  It is valid: span
+    # divides the class sizes, which sum to q-1, so ord(1) = q > span.
     chosen: list[int] = []
     covers: list[list[tuple[int, ...]]] = []  # per class, its covers
 
     @cache
-    def clashes(s: int) -> int:
-        # the splitters whose blocks meet the block of s, s included; built
-        # on first use, as the median grid instance chooses 3% of its splitters
-        return reduce(or_, (holders[m * s % q] for m in multipliers))
+    def placed(s: int) -> tuple[int, int]:
+        # the block of s, and the complement of the splitters whose blocks
+        # meet it (s included), so that `live & spared` drops them; built on
+        # first use, as the median grid instance branches on 3% of its
+        # splitters, and in one cached lookup, as the DFS needs both at once
+        prods = [m * s % q for m in multipliers]
+        return sum(1 << p for p in prods), ~reduce(or_, (holders[p] for p in prods))
 
     def dfs(covered: int, live: int) -> bool:
         # live: the splitters whose blocks are disjoint from covered
@@ -197,17 +221,18 @@ def search_tilings(
             low = best & -best
             s = low.bit_length() - 1
             chosen.append(s)
-            stop = dfs(covered | blocks[s], live & ~clashes(s))
+            block, spared = placed(s)
+            stop = dfs(covered | block, live & spared)
             chosen.pop()
             if stop:
                 return True
             best ^= low
         return False
 
-    live = ((1 << q) - 1) & ~clashes(1)
+    block, spared = placed(1)
     for d in sorted(residues):  # C_1 first; the other classes start out covered
         covers.append([])
-        dfs(full & ~residues[d] | blocks[1], live)
+        dfs(full & ~residues[d] | block, ((1 << q) - 1) & spared)
         if not covers[-1]:
             return []
     solutions = [tuple(sorted((1, *chain(*parts)))) for parts in product(*covers)]

@@ -145,19 +145,27 @@ def first_unit_pivots(splitters, modulus):
     return None
 
 
+def product_sets(k_plus: int, k_minus: int, q: int) -> dict[int, set[int]]:
+    """Each splitter s of Z_q whose products m*s are distinct and nonzero,
+    ascending, mapped to the set of those products."""
+    ms = multiplier_list(k_plus, k_minus)
+    out = {}
+    for s in range(1, q):
+        prods = {(m * s) % q for m in ms}
+        if 0 not in prods and len(prods) == len(ms):
+            out[s] = prods
+    return out
+
+
 def reference_search(k_plus: int, k_minus: int, q: int, find_all: bool = True):
     """Every splitter set of Z_q for the arms, sorted, in the order found
     (only the first with find_all=False): an exact-cover search that
     branches on the smallest uncovered residue and fixes no splitter."""
-    ms = multiplier_list(k_plus, k_minus)
-    if (q - 1) % len(ms) != 0:
+    if (q - 1) % (k_plus + k_minus) != 0:
         return []
     blocks: dict[int, int] = {}
     candidates: list[list[int]] = [[] for _ in range(q)]
-    for s in range(1, q):
-        prods = {(m * s) % q for m in ms}
-        if 0 in prods or len(prods) != len(ms):
-            continue
+    for s, prods in product_sets(k_plus, k_minus, q).items():
         blocks[s] = sum(1 << p for p in prods)
         for p in prods:
             candidates[p].append(s)

@@ -4,10 +4,10 @@ a non-triangular `--lattice` input, and of `encode` and `decode` (text
 and JSON; a corrected, a clean and an uncorrectable word) on a code of
 every kind; also of `bounds` (`--n` and `--q`, text and JSON, ruled-out
 and open), `search` (text, JSON, `--raw`, `--first`, both) and the unpruned
-survey CSV.  The digests pin the exact output, so a change to how the
-kernel lattice is stored or reduced, how the codec computes, or how a
-construction, rule or search result is assembled cannot alter what
-users see."""
+survey CSV, on a small grid and on the default one.  The digests pin the
+exact output, so a change to how the kernel lattice is stored or
+reduced, how the codec computes, or how a construction, rule or search
+result is assembled cannot alter what users see."""
 
 from __future__ import annotations
 
@@ -170,6 +170,7 @@ GOLDEN = {
     ('search', 'first-raw'): "cad4d637bedde6029bb645e507a21f661ca9a7d52308e69cca839e1b90df6379",
     ('search', 'none'): "25960863a628eafa01572aaf47ba8ed53e3a9e43c95c99676bb539da654fe53e",
     ('survey', 'no-prune-kmax4-qmax40'): "3766105b823b3dd5447a261459d5c1a98984e43fca0f75d7c14db74ff7223a24",
+    ('survey', 'no-prune-kmax10-qmax100'): "a493affda1ad5c08d077b38f70495093da4d30d32d09e92c26d3cecbcd350afa",
 }
 
 
@@ -321,3 +322,10 @@ def test_golden_search_bytes(name):
 def test_golden_survey_csv_bytes():
     out = _stdout(["survey", "--no-prune", "--kmax", "4", "--qmax", "40"])
     assert _digest(out) == GOLDEN[("survey", "no-prune-kmax4-qmax40")]
+
+
+def test_golden_survey_csv_bytes_default_grid():
+    # the full unpruned grid, k_plus <= 10 and q <= 100, that the
+    # nonexistence results rest on
+    out = _stdout(["survey", "--no-prune"])
+    assert _digest(out) == GOLDEN[("survey", "no-prune-kmax10-qmax100")]

@@ -124,6 +124,12 @@ def test_prime_factors():
     assert prime_factors(97) == [97]
 
 
+def test_is_prime_agrees_with_prime_factors():
+    # is_prime stops after the first factor that prime_factors lists
+    for n in range(-5, 20001):
+        assert is_prime(n) == (n >= 2 and prime_factors(n) == [n])
+
+
 class Index:
     """An integer-like number that is not an int: it has only __index__."""
 

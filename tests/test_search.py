@@ -14,7 +14,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasicross import (
@@ -33,7 +33,7 @@ from quasicross import (
 from quasicross import search as search_mod
 from quasicross.cli import main
 from quasicross.search import survey_instances
-from quasicross.splitting import Singularity
+from quasicross.splitting import MultiplierSet, Singularity
 
 import oracles
 
@@ -152,6 +152,43 @@ def test_class_sizes_match_a_count(k_plus):
         assert search_mod._class_sizes(q, k_plus) == (
             u, {d: counted[d] for d in range(1, u + 1) if u % d == 0}
         )
+
+
+@pytest.mark.parametrize("k_plus", range(2, 7))
+def test_cover_blocks_match_the_brute_product_sets(k_plus):
+    # every arm pair with this k_plus and every q <= 90, singular q included
+    for k_minus in range(1, k_plus):
+        multipliers = MultiplierSet(k_plus, k_minus)
+        for q in range(2, 91):
+            blocks = oracles.product_sets(k_plus, k_minus, q)
+            # the order rule: the products are distinct and nonzero iff ord(s) > span
+            assert set(blocks) == {s for s in range(1, q) if q // gcd(s, q) > k_plus + k_minus}
+            expected = [0] * q
+            for s, prods in blocks.items():
+                for p in prods:
+                    expected[p] |= 1 << s
+            clock_checks = []
+            assert search_mod._cover_blocks(q, multipliers, lambda: clock_checks.append(q)) == expected
+            assert len(clock_checks) == k_plus  # once per multiplier pass
+
+
+@st.composite
+def residue_sets(draw):
+    """q <= 60 and a subset of Z_q, drawn either from all of Z_q or from
+    its non-units only (0 among them), which leaves no unit to invert."""
+    q = draw(st.integers(2, 60))
+    pool = draw(st.sampled_from([list(range(q)), [r for r in range(q) if gcd(r, q) > 1]]))
+    return q, tuple(draw(st.lists(st.sampled_from(pool), unique=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_sets())
+@example((12, (0, 2, 3, 9)))
+@example((10, (0, 3, 4)))
+@example((7, ()))
+def test_orbit_min_matches_the_scan_over_every_unit(instance):
+    q, values = instance
+    assert search_mod._orbit_min(q, values) == oracles.orbit_min(q, values)
 
 
 @pytest.mark.parametrize("k_plus,k_minus,q", [(3, 1, 25), (4, 2, 49), (5, 1, 49), (2, 1, 76), (2, 1, 100)])
