@@ -8,7 +8,7 @@ arithmetic witness that triggered it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -17,10 +17,16 @@ from .splitting import MultiplierSet, QuasiCrossShape
 
 
 @dataclass(frozen=True)
-class DimensionBound:
+class RuleCheck:
+    name: str
+    ruled_out: bool
+    detail: str
+
+
+@dataclass(frozen=True)
+class DimensionBound(RuleCheck):
     """Tilings need (2*k_plus*(k_minus+1) - k_minus^2)/(k_plus+k_minus) <= n."""
 
-    ruled_out: bool
     value: Fraction
 
 
@@ -34,21 +40,22 @@ def dimension_bound(shape: QuasiCrossShape) -> DimensionBound:
         2 * shape.k_plus * (shape.k_minus + 1) - shape.k_minus**2,
         shape.k_plus + shape.k_minus,
     )
-    return DimensionBound(lhs > shape.n, lhs)
+    return DimensionBound("dimension", lhs > shape.n, f"{lhs} vs n = {shape.n}", lhs)
 
 
 @dataclass(frozen=True)
-class NegativeArmBound:
+class NegativeArmBound(RuleCheck):
     """Tilings need k_minus <= n - 1."""
 
-    ruled_out: bool
     limit: int
 
 
 def negative_arm_bound(shape: QuasiCrossShape) -> NegativeArmBound:
     if shape.n < 2:
         raise ValueError("negative-arm bound applies to n >= 2")
-    return NegativeArmBound(shape.k_minus > shape.n - 1, shape.n - 1)
+    limit = shape.n - 1
+    detail = f"k_minus = {shape.k_minus} vs n - 1 = {limit}"
+    return NegativeArmBound("negative-arm", shape.k_minus > limit, detail, limit)
 
 
 def max_positive_arm(n: int) -> int:
@@ -62,13 +69,6 @@ def max_positive_arm(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class RuleCheck:
-    name: str
-    ruled_out: bool
-    detail: str
-
-
-@dataclass(frozen=True)
 class FeasibilityReport:
     """Verdict plus the individual rule evaluations for one candidate
     (k_plus, k_minus, q) instance; a ruled-out verdict always has at
@@ -78,8 +78,11 @@ class FeasibilityReport:
     k_minus: int
     q: int
     n: int | None
-    ruled_out: bool
     rules: tuple[RuleCheck, ...]
+
+    @property
+    def ruled_out(self) -> bool:
+        return any(r.ruled_out for r in self.rules)
 
     def triggered(self) -> tuple[RuleCheck, ...]:
         return tuple(r for r in self.rules if r.ruled_out)
@@ -126,8 +129,7 @@ def group_order_constraints(k_plus: int, k_minus: int, q: int) -> FeasibilityRep
                     f"{q} {'is' if power else 'is not'} a power of {base}",
                 )
             )
-    ruled_out = any(r.ruled_out for r in rules)
-    return FeasibilityReport(k_plus, k_minus, q, n, ruled_out, tuple(rules))
+    return FeasibilityReport(k_plus, k_minus, q, n, tuple(rules))
 
 
 def _is_power_of(q: int, base: int) -> bool:
@@ -140,28 +142,20 @@ def _is_power_of(q: int, base: int) -> bool:
 
 def _shape_rules(shape: QuasiCrossShape) -> tuple[RuleCheck, ...]:
     """The dimension and negative-arm rules at dimension n >= 2."""
-    dim = dimension_bound(shape)
-    arm = negative_arm_bound(shape)
-    return (
-        RuleCheck("dimension", dim.ruled_out, f"{dim.value} vs n = {shape.n}"),
-        RuleCheck("negative-arm", arm.ruled_out, f"k_minus = {shape.k_minus} vs n - 1 = {arm.limit}"),
-    )
+    return dimension_bound(shape), negative_arm_bound(shape)
 
 
 def shape_feasibility(k_plus: int, k_minus: int, n: int) -> FeasibilityReport:
     """The shape bounds alone at dimension n >= 2 (q is reported as 0)."""
     shape = QuasiCrossShape(k_plus, k_minus, n)
-    rules = _shape_rules(shape)
-    return FeasibilityReport(
-        shape.k_plus, shape.k_minus, 0, shape.n, any(r.ruled_out for r in rules), rules
-    )
+    return FeasibilityReport(shape.k_plus, shape.k_minus, 0, shape.n, _shape_rules(shape))
 
 
 def instance_feasibility(k_plus: int, k_minus: int, q: int) -> FeasibilityReport:
     """All applicable rules for a survey instance: the group-order rules
     plus the shape bounds at n = (q-1)/(k_plus+k_minus) when n >= 2."""
     report = group_order_constraints(k_plus, k_minus, q)
-    rules = report.rules
-    if report.n is not None and report.n >= 2:
-        rules += _shape_rules(QuasiCrossShape(report.k_plus, report.k_minus, report.n))
-    return replace(report, ruled_out=any(r.ruled_out for r in rules), rules=rules)
+    if report.n is None or report.n < 2:
+        return report
+    rules = report.rules + _shape_rules(QuasiCrossShape(report.k_plus, report.k_minus, report.n))
+    return FeasibilityReport(report.k_plus, report.k_minus, report.q, report.n, rules)

@@ -35,7 +35,7 @@ def _read_splitting(path: str) -> split_mod.Splitting:
         return split_mod.from_json(fh.read())
 
 
-def _emit(args, text_lines: list[str], payload: dict) -> None:
+def _emit(args, text_lines: list[str], payload: dict | list) -> None:
     if getattr(args, "format", "text") == "json":
         print(json.dumps(payload))
     else:
@@ -93,10 +93,10 @@ def _cmd_verify(args) -> int:
         return EXIT_NEGATIVE
     lat = lattice_mod.lattice_from_splitting(sp)
     det = lattice_mod.determinant(lat)
-    density = lattice_mod.packing_density(lat, sp.shape, det)
+    density = lattice_mod.packing_density(lat, sp.shape)
     periods = lattice_mod.period(sp)
     guard = lattice_mod.GEOMETRIC_CHECK_MAX_VOLUME
-    geo = lattice_mod.geometric_check(sp, lat, det) if sp.shape.volume <= guard else None
+    geo = lattice_mod.geometric_check(sp, lat) if sp.shape.volume <= guard else None
     verdict = "tiling" if check.tiling else "packing"
     sing = split_mod.classify_singularity(sp).value
     index = sp.group.order // det
@@ -143,13 +143,9 @@ def _cmd_search(args) -> int:
         dedupe=not args.raw,
         time_limit=args.time_limit,
     )
-    if args.format == "json":
-        print(json.dumps([split_mod.to_json_dict(sp) for sp in found]))
-    else:
-        kind = "raw splitter set(s)" if args.raw else "canonical tiling(s)"
-        print(f"{len(found)} {kind}")
-        for sp in found:
-            print(" ".join(str(v) for v in sp.splitter_values()))
+    kind = "raw splitter set(s)" if args.raw else "canonical tiling(s)"
+    lines = [f"{len(found)} {kind}", *(" ".join(map(str, sp.splitter_values())) for sp in found)]
+    _emit(args, lines, [split_mod.to_json_dict(sp) for sp in found])
     return EXIT_OK
 
 
@@ -238,12 +234,14 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    if args.splitting and args.lattice:
+        raise ValueError("plot takes --splitting or --lattice, not both")
     if args.splitting:
         sp = _read_splitting(args.splitting)
         lat = lattice_mod.lattice_from_splitting(sp)
         shape = sp.shape
     else:
-        if not (args.lattice and args.kplus and args.kminus):
+        if None in (args.lattice, args.kplus, args.kminus):
             raise ValueError("plot needs --splitting, or --lattice with --kplus/--kminus")
         with open(args.lattice, "r", encoding="utf-8") as fh:
             lat = lattice_mod.lattice_from_json(fh.read())

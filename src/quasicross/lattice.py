@@ -118,12 +118,11 @@ def determinant(lat: IntegerLattice) -> int:
     return abs(d)
 
 
-def packing_density(lat: IntegerLattice, shape: QuasiCrossShape, det: int | None = None) -> Fraction:
+def packing_density(lat: IntegerLattice, shape: QuasiCrossShape) -> Fraction:
     """Cross volume over fundamental-region volume; 1 exactly for tilings.
 
-    `det`, when the caller already has it, is `determinant(lat)`.  A
-    value above 1 proves the caller's packing claim false and raises."""
-    rho = Fraction(shape.volume, determinant(lat) if det is None else det)
+    A value above 1 proves the caller's packing claim false and raises."""
+    rho = Fraction(shape.volume, determinant(lat))
     if rho > 1:
         raise ValueError(
             f"density {rho} > 1: the lattice cannot pack this quasi-cross"
@@ -150,9 +149,7 @@ class GeometricReport:
     witness: tuple[tuple[int, int] | None, tuple[int, int] | None] | None = None
 
 
-def geometric_check(
-    sp: Splitting, lat: IntegerLattice | None = None, det: int | None = None
-) -> GeometricReport:
+def geometric_check(sp: Splitting, lat: IntegerLattice | None = None) -> GeometricReport:
     """Decide packing/tiling geometrically, independent of product tables.
 
     Reduces every cell of the quasi-cross at the origin to its canonical
@@ -161,9 +158,9 @@ def geometric_check(
     and tile iff additionally every coset is hit.  A cell is a sparse
     vector m*e_i, so each reduction touches only the nonzero columns of
     the HNF and the check costs O(volume * nonzeros per row).  Guarded to
-    cross volumes <= GEOMETRIC_CHECK_MAX_VOLUME.  `lat` and `det`, when
-    the caller already has them, are `lattice_from_splitting(sp)` and its
-    determinant.
+    cross volumes <= GEOMETRIC_CHECK_MAX_VOLUME.  `lat`, when the caller
+    already has it, is `lattice_from_splitting(sp)`; the number of cosets
+    is the product of the HNF diagonal.
 
     The verdict matches verify_packing/is_tiling whenever the splitters
     generate the group.  When they generate a proper subgroup the
@@ -178,8 +175,6 @@ def geometric_check(
         )
     if lat is None:
         lat = lattice_from_splitting(sp)
-    if det is None:
-        det = determinant(lat)
     hnf = lat.hnf().rows
     multipliers = tuple(sp.multipliers)
     seen: dict[SparseRow, tuple[int, int] | None] = {reduce_mod_lattice(hnf, {}): None}
@@ -189,7 +184,7 @@ def geometric_check(
             if rep in seen:
                 return GeometricReport("overlap", 0, (seen[rep], (i, m)))
             seen[rep] = (i, m)
-    uncovered = det - len(seen)
+    uncovered = prod(row[-1][1] for row in hnf) - len(seen)
     return GeometricReport("tiling" if uncovered == 0 else "packing", uncovered)
 
 
@@ -223,8 +218,6 @@ def _lattice_points_2d(lat: IntegerLattice, window: int):
     """All lattice points v with |v_x| < window and |v_y| < window."""
     (a, _), (b, c) = lat.basis  # lower-triangular HNF rows (a,0), (b,c)
     points = []
-    if window <= 0:
-        return points
     for j in range(-(window // c) - 1, window // c + 2):
         y = j * c
         if abs(y) >= window:
@@ -249,6 +242,8 @@ def render_2d(lat: IntegerLattice, shape: QuasiCrossShape, window: int) -> str:
         raise ValueError("render_2d draws 2-dimensional lattices only")
     if lat.n != 2:
         raise ValueError("lattice dimension must be 2")
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     canonical = lat.hnf()
     points = _lattice_points_2d(canonical, window)
 

@@ -116,11 +116,19 @@ def _scaled(q: int, u: int, values) -> tuple[int, ...]:
     return tuple(sorted(u * s % q for s in values))
 
 
-def _orbit_min(q: int, values: tuple[int, ...]) -> tuple[int, ...]:
-    # when S holds a unit, only the inverses of its units can reach the
-    # minimum; otherwise every unit is tried (see the module docstring)
-    inverses = [pow(s, -1, q) for s in values if gcd(s, q) == 1]
-    return min(_scaled(q, u, values) for u in inverses or range(1, q) if gcd(u, q) == 1)
+def _orbit_min(q: int, sets) -> list[tuple[int, ...]]:
+    """Each unit-scaling orbit's minimum among the sorted tuples `sets`,
+    once, in first-met order.  An orbit's members are built once: u*S for
+    the inverses u of the units of S, or every unit multiple when S holds
+    none (module docstring); a later set among them is skipped."""
+    seen, minima = set(), {}
+    for values in sets:
+        if values not in seen:
+            inverses = [pow(s, -1, q) for s in values if gcd(s, q) == 1]
+            members = {_scaled(q, u, values) for u in inverses or range(1, q) if gcd(u, q) == 1}
+            seen |= members
+            minima[min(members)] = None
+    return list(minima)
 
 
 def unit_orbit_canonical(sp: Splitting) -> Splitting:
@@ -131,7 +139,7 @@ def unit_orbit_canonical(sp: Splitting) -> Splitting:
     if not sp.group.is_cyclic_form:
         raise ValueError("unit_orbit_canonical is defined for cyclic groups only")
     q = sp.group.orders[0]
-    best = _orbit_min(q, sp.splitter_values())
+    [best] = _orbit_min(q, [sp.splitter_values()])
     return make_cyclic_splitting(q, sp.multipliers.k_plus, sp.multipliers.k_minus, best)
 
 
@@ -237,18 +245,10 @@ def search_tilings(
             return []
     solutions = [tuple(sorted((1, *chain(*parts)))) for parts in product(*covers)]
     if dedupe:
-        # the members of an orbit that hold 1 are s^-1 * S for the units s
-        # of S; the search finds all of them, so canonicalise only the first
-        seen: set[tuple[int, ...]] = set()
-        classes = []
-        for sol in solutions:
-            if sol not in seen:
-                classes.append(_orbit_min(q, sol))
-                seen.update(_scaled(q, pow(s, -1, q), sol) for s in sol if gcd(s, q) == 1)
-        canonical = sorted(classes)
+        canonical = sorted(_orbit_min(q, solutions))
     elif find_all:
         units = [u for u in range(1, q) if gcd(u, q) == 1]
-        canonical = sorted({_scaled(q, u, sol) for sol in solutions for u in units})
+        canonical = sorted({_scaled(q, u, m) for m in _orbit_min(q, solutions) for u in units})
     else:
         canonical = solutions
     out = []
@@ -291,9 +291,11 @@ def survey_instances(k_max: int, q_max: int):
     """The (k_plus, k_minus, q) grid with 0 < k_minus < k_plus <= k_max,
     q <= q_max, restricted to instances with integer dimension n >= 2
     (n = 1 tiles trivially for every arm pair and is reported separately
-    by the CLI, not searched)."""
-    for k_plus in range(2, k_max + 1):
-        for k_minus in range(1, k_plus):
+    by the CLI, not searched).  n >= 2 needs q >= 2*span + 1, so no arm
+    pair with span above (q_max - 1)/2 is walked."""
+    top = (q_max - 1) // 2
+    for k_plus in range(2, min(k_max, top - 1) + 1):
+        for k_minus in range(1, min(k_plus, top - k_plus + 1)):
             span = k_plus + k_minus
             for q in range(2 * span + 1, q_max + 1, span):
                 yield k_plus, k_minus, q
@@ -301,17 +303,16 @@ def survey_instances(k_max: int, q_max: int):
 
 def _run_instance(args) -> SurveyRow:
     k_plus, k_minus, q, prune, time_limit = args
-    n = (q - 1) // (k_plus + k_minus)
     report = instance_feasibility(k_plus, k_minus, q)
     triggered = tuple(r.name for r in report.triggered())
     start = time.monotonic()
     if prune and report.ruled_out:
-        return SurveyRow(k_plus, k_minus, q, n, True, triggered, False, (), 0.0)
+        return SurveyRow(k_plus, k_minus, q, report.n, True, triggered, False, (), 0.0)
     found = search_tilings(k_plus, k_minus, q, time_limit=time_limit)
     elapsed = time.monotonic() - start
     tilings = tuple(sp.splitter_values() for sp in found)
     return SurveyRow(
-        k_plus, k_minus, q, n, report.ruled_out, triggered, True, tilings, elapsed
+        k_plus, k_minus, q, report.n, report.ruled_out, triggered, True, tilings, elapsed
     )
 
 

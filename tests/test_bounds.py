@@ -14,6 +14,7 @@ from quasicross import (
     max_positive_arm,
     negative_arm_bound,
 )
+from quasicross.bounds import RuleCheck, shape_feasibility
 
 
 def test_dimension_bound_values():
@@ -93,6 +94,32 @@ def test_instance_feasibility_includes_shape_rules():
     report = instance_feasibility(2, 1, 7)
     assert report.ruled_out
     assert "dimension" in {rule.name for rule in report.triggered()}
+
+
+def test_reports_carry_the_shape_bounds_as_they_are():
+    for k_plus in range(2, 9):
+        for k_minus in range(1, k_plus):
+            for q in range(2, 120):
+                report = instance_feasibility(k_plus, k_minus, q)
+                assert report.ruled_out == any(rule.ruled_out for rule in report.rules)
+                shape_rules = [r for r in report.rules if r.name in ("dimension", "negative-arm")]
+                if report.n is None or report.n < 2:
+                    assert shape_rules == []
+                    continue
+                shape = QuasiCrossShape(k_plus, k_minus, report.n)
+                assert shape_rules == [dimension_bound(shape), negative_arm_bound(shape)]
+                assert report.rules[-2:] == tuple(shape_rules)
+                alone = shape_feasibility(k_plus, k_minus, report.n)
+                assert alone.rules == tuple(shape_rules)
+                assert alone.ruled_out == any(rule.ruled_out for rule in shape_rules)
+
+
+def test_shape_bounds_read_as_rules_and_as_values():
+    dim = dimension_bound(QuasiCrossShape(3, 2, 2))
+    arm = negative_arm_bound(QuasiCrossShape(5, 4, 4))
+    assert (dim.name, dim.ruled_out, dim.detail, dim.value) == ("dimension", True, "14/5 vs n = 2", Fraction(14, 5))
+    assert (arm.name, arm.ruled_out, arm.detail, arm.limit) == ("negative-arm", True, "k_minus = 4 vs n - 1 = 3", 3)
+    assert isinstance(dim, RuleCheck) and isinstance(arm, RuleCheck)
 
 
 @pytest.mark.parametrize("k_plus, k_minus", [(1, 2), (2, 2), (2, 0), (2.5, 1)])

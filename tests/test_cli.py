@@ -318,15 +318,26 @@ def test_plot_malformed_lattice_exit_2(capsys, tmp_path, name):
         (["construct", "mixed", "--p", "5", "--kplus", "3"], "construct mixed needs --kminus"),
         (["bounds", "--kplus", "3", "--kminus", "1", "--n", "2", "--q", "21"],
          "bounds takes --n (shape bounds) or --q (group rules), not both"),
+        (["plot", "--splitting", "CODE", "--window", "-5"], "window must be >= 0, got -5"),
+        (["plot", "--splitting", "CODE", "--lattice", "missing.json"],
+         "plot takes --splitting or --lattice, not both"),
+        (["plot", "--lattice", "LATTICE", "--kplus", "0", "--kminus", "0"],
+         "need 0 < k_minus < k_plus, got (0, 0)"),
     ],
     ids=["balance-without-beta", "plot-without-input", "encode-two-t-digits", "cyclic-without-p",
-         "field-without-kplus", "mixed-without-kminus", "bounds-n-and-q"],
+         "field-without-kplus", "mixed-without-kminus", "bounds-n-and-q", "plot-negative-window",
+         "plot-splitting-and-lattice", "plot-zero-arms"],
 )
-def test_missing_or_extra_input_exits_2_with_one_error_line(capsys, z17_json, argv, error):
+def test_missing_or_extra_input_exits_2_with_one_error_line(capsys, tmp_path, z17_json, argv, error):
     # `construct balance` without --beta used to end in an AttributeError
     # traceback; the other kinds blamed a malformed value for a missing
-    # flag, and `bounds` dropped --n when --q was given
-    code, out, err = run_cli(capsys, *[z17_json if a == "CODE" else a for a in argv])
+    # flag, `bounds` dropped --n when --q was given, `plot` drew a negative
+    # window as an inverted viewBox, dropped --lattice beside --splitting
+    # and called zero arms missing
+    lattice = tmp_path / "lat.json"
+    lattice.write_text('{"basis": [[4, 1], [3, 5]]}', encoding="utf-8")
+    files = {"CODE": z17_json, "LATTICE": str(lattice)}
+    code, out, err = run_cli(capsys, *[files.get(a, a) for a in argv])
     assert (code, out, err) == (2, "", f"error: {error}\n")
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quasicross import (
+    GeometricReport,
     IntegerLattice,
     QuasiCrossShape,
     cyclic_splitting,
@@ -240,6 +241,15 @@ def test_geometric_check_packing_counts_uncovered():
     assert report.uncovered == 6
 
 
+def test_geometric_check_counts_cosets_of_any_basis_of_the_lattice():
+    # the caller's lattice may come in any basis; its HNF gives the cosets
+    sp = make_cyclic_splitting(17, 3, 2, [1, 13])
+    (a, b), (c, d) = lattice_from_splitting(sp).basis
+    other = IntegerLattice(((a + 3 * c, b + 3 * d), (2 * a + 7 * c, 2 * b + 7 * d)))  # det 1 change
+    assert not other.is_lower_triangular()
+    assert geometric_check(sp, other) == geometric_check(sp) == GeometricReport("packing", 6)
+
+
 def test_geometric_check_overlap_witness():
     report = geometric_check(make_cyclic_splitting(17, 3, 2, [1, 2]))
     assert report.verdict == "overlap"
@@ -349,6 +359,13 @@ def test_render_2d_window_zero_axes_only():
     assert "<rect" not in svg
     assert "<circle" not in svg
     assert svg.count("<line") >= 2
+
+
+@pytest.mark.parametrize("window", [-1, -5])
+def test_render_2d_rejects_a_negative_window(window):
+    # it used to draw an inverted viewBox
+    with pytest.raises(ValueError, match=f"^window must be >= 0, got {window}$"):
+        render_2d(ex1_lattice(), QuasiCrossShape(3, 2, 2), window)
 
 
 def test_render_2d_highlights_overlap():

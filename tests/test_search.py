@@ -188,7 +188,47 @@ def residue_sets(draw):
 @example((7, ()))
 def test_orbit_min_matches_the_scan_over_every_unit(instance):
     q, values = instance
-    assert search_mod._orbit_min(q, values) == oracles.orbit_min(q, values)
+    assert search_mod._orbit_min(q, [values]) == [oracles.orbit_min(q, values)]
+
+
+RAW_2_1 = {q: oracles.reference_search(2, 1, q) for q in (16, 64)}  # every raw splitter set
+
+
+@st.composite
+def orbit_lists(draw):
+    """q and a shuffled list of sorted sets that repeats members of their
+    orbits: random sets, or raw splitter sets of (2,1,16) or (2,1,64),
+    which need not hold 1, each with some of their unit multiples."""
+    q = draw(st.sampled_from(sorted(RAW_2_1)) | st.integers(2, 40))
+    pool = st.sampled_from(RAW_2_1[q]) if q in RAW_2_1 else st.lists(st.integers(0, q - 1), unique=True)
+    units = st.sampled_from([u for u in range(1, q) if gcd(u, q) == 1])
+    seeds = draw(st.lists(pool, max_size=6))
+    repeats = [[draw(units) * s % q for s in seed] for seed in seeds for _ in range(draw(st.integers(0, 2)))]
+    return q, draw(st.permutations([tuple(sorted(s)) for s in seeds + repeats]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbit_lists())
+@example((16, RAW_2_1[16]))
+@example((64, RAW_2_1[64]))
+def test_orbit_min_gives_one_minimum_per_orbit_in_first_met_order(instance):
+    q, sets = instance
+    expected = list(dict.fromkeys(oracles.orbit_min(q, values) for values in sets))
+    assert search_mod._orbit_min(q, sets) == expected
+
+
+def test_orbit_min_builds_each_orbit_once(monkeypatch):
+    # the search's solutions all hold 1, and so does every member built for
+    # them, so each later member of an orbit is skipped
+    with_one = [values for values in RAW_2_1[64] if 1 in values]
+    scaled_from = Counter()
+    scaled = search_mod._scaled
+    monkeypatch.setattr(
+        search_mod, "_scaled", lambda q, u, values: scaled_from.update([values]) or scaled(q, u, values)
+    )
+    minima = search_mod._orbit_min(64, with_one)
+    assert len(minima) == len(set(minima)) == 64
+    assert len(scaled_from) == 64  # one set of each orbit is scaled
 
 
 @pytest.mark.parametrize("k_plus,k_minus,q", [(3, 1, 25), (4, 2, 49), (5, 1, 49), (2, 1, 76), (2, 1, 100)])
@@ -308,6 +348,33 @@ def test_survey_instances_grid():
     assert (3, 2, 11) in grid
     assert all((q - 1) % (kp + km) == 0 for kp, km, q in grid)
     assert all((q - 1) // (kp + km) >= 2 for kp, km, q in grid)
+
+
+def test_survey_instances_match_a_brute_force_filter():
+    for k_max in range(-2, 14):
+        for q_max in range(-5, 160):
+            brute = [
+                (k_plus, k_minus, q)
+                for k_plus in range(2, k_max + 1)
+                for k_minus in range(1, k_plus)
+                for q in range(2, q_max + 1)
+                if (q - 1) % (k_plus + k_minus) == 0 and (q - 1) // (k_plus + k_minus) >= 2
+            ]
+            assert list(survey_instances(k_max, q_max)) == brute, (k_max, q_max)
+
+
+def test_survey_with_a_huge_kmax_walks_only_the_arm_pairs_qmax_allows():
+    # 3 instances; a generator that walked every arm pair up to k_max
+    # would run for hours
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasicross", "survey", "--kmax", "100000", "--qmax", "10"],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=str(Path(search_mod.__file__).parents[1])),
+    )
+    assert proc.returncode == 0
+    assert [line.split(",")[:3] for line in proc.stdout.splitlines()[1:]] == [
+        ["2", "1", "7"], ["2", "1", "10"], ["3", "1", "9"]
+    ]
 
 
 def test_small_survey_finds_only_known_tilings():
