@@ -237,6 +237,8 @@ def _cmd_plot(args) -> int:
     if args.splitting and args.lattice:
         raise ValueError("plot takes --splitting or --lattice, not both")
     if args.splitting:
+        if (args.kplus, args.kminus) != (None, None):
+            raise ValueError("plot --splitting takes its arms from the file, not --kplus/--kminus")
         sp = _read_splitting(args.splitting)
         lat = lattice_mod.lattice_from_splitting(sp)
         shape = sp.shape

@@ -92,12 +92,24 @@ class FiniteAbelianGroup:
 
     def element(self, residues) -> Element:
         """Validate and reduce a residue sequence into this group."""
-        vals = integers(residues, "element residues")
-        if len(vals) != len(self.orders):
-            raise ValueError(
-                f"element has {len(vals)} coordinates, group has {len(self.orders)}"
-            )
-        return tuple(r % d for r, d in zip(vals, self.orders))
+        return self.elements_of([residues])[0]
+
+    def elements_of(self, batch) -> tuple[Element, ...]:
+        """Validate and reduce residue sequences into this group, one
+        coordinate column at a time for the whole batch."""
+        try:
+            rows = list(map(tuple, batch))
+        except TypeError:
+            raise ValueError("element residues must be integers") from None
+        k = len(self.orders)
+        for row in rows:
+            if len(row) != k:
+                raise ValueError(f"element has {len(row)} coordinates, group has {k}")
+        columns = [
+            [r % d for r in integers(col, "element residues")]
+            for col, d in zip(zip(*rows), self.orders)
+        ]
+        return tuple(zip(*columns))
 
     def add(self, a: Element, b: Element) -> Element:
         if len(a) != len(self.orders) or len(b) != len(self.orders):

@@ -11,7 +11,6 @@ ascending column order, so the pivot of a sparse HNF row is its last pair.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from math import gcd
 
 Matrix = list[list[int]]
@@ -167,33 +166,37 @@ def _mix(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]
     return {j: v for j, v in out.items() if v}
 
 
-def reduce_mod_lattice(hnf, vector: dict[int, int]) -> SparseRow:
-    """Canonical coset representative of a sparse vector modulo the
-    lattice spanned by sparse lower-triangular HNF rows.
+def reduce_mod_lattice(hnf, columns: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Coset indices of a batch of sparse vectors modulo the lattice
+    spanned by sparse lower-triangular HNF rows.
 
-    `vector` maps coordinates to values; absent coordinates are 0.  The
-    representative lives in the box prod([0, pivot_i)), one point per
-    coset, and comes back as its nonzero (coordinate, value) pairs in
-    descending coordinate order, so equal cosets give equal keys.  Only
-    the coordinates the reduction touches are visited, largest first.
+    The batch comes column-wise, coordinate -> {vector id: value}, absent
+    entries 0, and each coordinate is visited once for the whole batch,
+    largest first.  A vector's canonical representative in the box
+    prod([0, pivot_i)), one point per coset, is returned as its index: the
+    mixed-radix number it reads as, coordinate 0 most significant.  Equal
+    cosets give equal indices and the lattice gets 0, as does any vector
+    id absent from `columns`.
     """
-    x = dict(vector)
-    todo = [-i for i in x]
-    heapify(todo)
-    rep = []
-    while todo:
-        i = -heappop(todo)
+    x = {i: dict(col) for i, col in columns.items()}
+    index = dict.fromkeys((v for col in columns.values() for v in col), 0)
+    weight = 1
+    for i in range(len(hnf) - 1, -1, -1):
         row = hnf[i]
-        q, r = divmod(x.pop(i), row[-1][1])
-        if r:
-            rep.append((i, r))
-        if q:
+        pivot = row[-1][1]
+        col = x.pop(i, None)
+        if col:
+            if pivot > 1:  # a pivot of 1 keeps r = 0 and has q = value
+                for v, value in col.items():
+                    q, r = divmod(value, pivot)
+                    index[v] += r * weight
+                    col[v] = q
             for j, h in row[:-1]:
-                if j not in x:
-                    x[j] = 0
-                    heappush(todo, -j)
-                x[j] -= q * h
-    return tuple(rep)
+                below = x.setdefault(j, {})
+                for v, q in col.items():
+                    below[v] = below.get(v, 0) - q * h
+        weight *= pivot
+    return index
 
 
 def bareiss_det(rows: Matrix) -> int:

@@ -8,7 +8,8 @@ diagonal plus a few nonzero columns below it, so building, reducing and
 taking the determinant cost O(n + nonzeros), and dense rows are made only
 for output.  `geometric_check` re-derives the packing/tiling verdict
 purely from the lattice geometry (coset coverage on the quotient torus),
-independently of the product-table logic in `splitting`.
+independently of the product-table logic in `splitting`: one batch
+reduction gives every cross cell its coset index.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .intlinalg import SparseRow, bareiss_det, hnf_lower, kernel_hnf, reduce_mod
 from .splitting import QuasiCrossShape, Splitting, json_int_list
 
 GEOMETRIC_CHECK_MAX_VOLUME = 100_000
+RENDER_2D_MAX_CELLS = 1_000_000  # about 100 MB of SVG
 
 
 @dataclass(frozen=True, init=False)
@@ -54,17 +56,13 @@ class IntegerLattice:
     def n(self) -> int:
         return len(self.rows)
 
-    def dense_rows(self):
-        """The basis rows as dense lists, one at a time."""
-        for row in self.rows:
-            dense = [0] * self.n
-            for j, x in row:
-                dense[j] = x
-            yield dense
-
     @property
     def basis(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(r) for r in self.dense_rows())
+        dense = [[0] * self.n for _ in self.rows]
+        for row, out in zip(self.rows, dense):
+            for j, x in row:
+                out[j] = x
+        return tuple(map(tuple, dense))
 
     def is_lower_triangular(self) -> bool:
         return all(not row or row[-1][0] <= i for i, row in enumerate(self.rows))
@@ -89,7 +87,8 @@ class IntegerLattice:
         vec = integers(vector, "vector entries")
         if len(vec) != self.n:
             raise ValueError("vector dimension mismatch")
-        return not reduce_mod_lattice(self.hnf().rows, {j: x for j, x in enumerate(vec) if x})
+        batch = {j: {0: x} for j, x in enumerate(vec) if x}
+        return not reduce_mod_lattice(self.hnf().rows, batch).get(0)
 
 
 def lattice_from_splitting(sp: Splitting) -> IntegerLattice:
@@ -152,15 +151,16 @@ class GeometricReport:
 def geometric_check(sp: Splitting, lat: IntegerLattice | None = None) -> GeometricReport:
     """Decide packing/tiling geometrically, independent of product tables.
 
-    Reduces every cell of the quasi-cross at the origin to its canonical
-    coset representative modulo the lattice; the crosses at all lattice
-    points are disjoint iff these representatives are pairwise distinct,
-    and tile iff additionally every coset is hit.  A cell is a sparse
-    vector m*e_i, so each reduction touches only the nonzero columns of
-    the HNF and the check costs O(volume * nonzeros per row).  Guarded to
-    cross volumes <= GEOMETRIC_CHECK_MAX_VOLUME.  `lat`, when the caller
-    already has it, is `lattice_from_splitting(sp)`; the number of cosets
-    is the product of the HNF diagonal.
+    One batch reduction (`intlinalg.reduce_mod_lattice`) gives every cell
+    of the quasi-cross at the origin its coset index modulo the lattice;
+    the crosses at all lattice points are disjoint iff these indices are
+    pairwise distinct, and tile iff additionally every coset is hit.  A
+    cell is a sparse vector m*e_i, so the batch touches only the nonzero
+    columns of the HNF and the check costs O(volume * nonzeros per row).
+    The overlap witness is the first cell in (i, m) order whose coset an
+    earlier cell holds.  Guarded to cross volumes <= GEOMETRIC_CHECK_MAX_VOLUME.
+    `lat`, when the caller already has it, is `lattice_from_splitting(sp)`;
+    the number of cosets is the product of the HNF diagonal.
 
     The verdict matches verify_packing/is_tiling whenever the splitters
     generate the group.  When they generate a proper subgroup the
@@ -176,14 +176,16 @@ def geometric_check(sp: Splitting, lat: IntegerLattice | None = None) -> Geometr
     if lat is None:
         lat = lattice_from_splitting(sp)
     hnf = lat.hnf().rows
-    multipliers = tuple(sp.multipliers)
-    seen: dict[SparseRow, tuple[int, int] | None] = {reduce_mod_lattice(hnf, {}): None}
-    for i in range(sp.n):
-        for m in multipliers:
-            rep = reduce_mod_lattice(hnf, {i: m})
-            if rep in seen:
-                return GeometricReport("overlap", 0, (seen[rep], (i, m)))
-            seen[rep] = (i, m)
+    cells = [(i, m) for i in range(sp.n) for m in sp.multipliers]
+    columns: dict[int, dict[int, int]] = {i: {} for i in range(sp.n)}
+    for v, (i, m) in enumerate(cells):
+        columns[i][v] = m  # cell v is the vector m*e_i
+    index = reduce_mod_lattice(hnf, columns)
+    seen: dict[int, tuple[int, int] | None] = {0: None}
+    for v, cell in enumerate(cells):
+        if index[v] in seen:
+            return GeometricReport("overlap", 0, (seen[index[v]], cell))
+        seen[index[v]] = cell
     uncovered = prod(row[-1][1] for row in hnf) - len(seen)
     return GeometricReport("tiling" if uncovered == 0 else "packing", uncovered)
 
@@ -192,8 +194,15 @@ def geometric_check(sp: Splitting, lat: IntegerLattice | None = None) -> Geometr
 
 
 def lattice_to_json(lat: IntegerLattice) -> str:
-    """`{"basis": [[...], ...]}`, written one dense row at a time."""
-    return '{"basis": [' + ", ".join(json.dumps(row) for row in lat.dense_rows()) + "]}"
+    """`{"basis": [[...], ...]}`, the bytes of `json.dumps` of the dense
+    rows, each written from its sparse pairs over a row of "0" strings."""
+    rows = []
+    for row in lat.rows:
+        dense = ["0"] * lat.n
+        for j, x in row:
+            dense[j] = str(x)
+        rows.append("[" + ", ".join(dense) + "]")
+    return '{"basis": [' + ", ".join(rows) + "]}"
 
 
 def lattice_from_json(text: str) -> IntegerLattice:
@@ -236,7 +245,9 @@ def render_2d(lat: IntegerLattice, shape: QuasiCrossShape, window: int) -> str:
     One unit square per cross cell (center cells darker, cells covered
     more than once highlighted), lattice points dotted, and the
     fundamental-region parallelogram of the basis hatched.  The y axis
-    grows upward and output bytes are stable across runs.
+    grows upward and output bytes are stable across runs.  A window whose
+    crosses would cover more than RENDER_2D_MAX_CELLS cells, about
+    (2*window + 1)^2 * volume / det of them, is refused before drawing.
     """
     if shape.n != 2:
         raise ValueError("render_2d draws 2-dimensional lattices only")
@@ -245,6 +256,11 @@ def render_2d(lat: IntegerLattice, shape: QuasiCrossShape, window: int) -> str:
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
     canonical = lat.hnf()
+    cells = (2 * window + 1) ** 2 * shape.volume // determinant(canonical)
+    if cells > RENDER_2D_MAX_CELLS:
+        raise ValueError(
+            f"window {window} would draw about {cells} cells, more than {RENDER_2D_MAX_CELLS}"
+        )
     points = _lattice_points_2d(canonical, window)
 
     coverage: dict[tuple[int, int], int] = {}

@@ -126,7 +126,7 @@ class Splitting:
     splitters: tuple[Element, ...]
 
     def __post_init__(self) -> None:
-        elems = tuple(self.group.element(s) for s in self.splitters)
+        elems = self.group.elements_of(self.splitters)
         if len(set(elems)) != len(elems):
             raise ValueError("splitter elements must be distinct")
         if not elems:
@@ -161,13 +161,15 @@ def make_cyclic_splitting(q: int, k_plus: int, k_minus: int, splitters) -> Split
 
 
 def _scan_products(sp: Splitting):
-    """The check and the table m*s_i -> (i, m) built on the way."""
+    """The check and the table m*s_i -> (i, m) built on the way; the |M|
+    products of a splitter are made one cyclic factor (column) at a time."""
     g = sp.group
     zero = g.zero
+    ms = sp.multipliers.elements
     table: dict[Element, tuple[int, int]] = {}
     for i, s in enumerate(sp.splitters):
-        for m in sp.multipliers:
-            prod = g.scalar_mul(m, s)
+        columns = [[m * x % d for m in ms] for x, d in zip(s, g.orders)]
+        for m, prod in zip(ms, zip(*columns)):
             if prod == zero:
                 return PackingCheck(False, Collision(m, s, None, None, prod)), table
             if prod in table:

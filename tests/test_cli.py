@@ -323,22 +323,44 @@ def test_plot_malformed_lattice_exit_2(capsys, tmp_path, name):
          "plot takes --splitting or --lattice, not both"),
         (["plot", "--lattice", "LATTICE", "--kplus", "0", "--kminus", "0"],
          "need 0 < k_minus < k_plus, got (0, 0)"),
+        (["plot", "--splitting", "CODE", "--kplus", "7", "--kminus", "5"],
+         "plot --splitting takes its arms from the file, not --kplus/--kminus"),
+        (["plot", "--splitting", "CODE", "--window", "20000"],
+         "window 20000 would draw about 1035345883 cells, more than 1000000"),
     ],
     ids=["balance-without-beta", "plot-without-input", "encode-two-t-digits", "cyclic-without-p",
          "field-without-kplus", "mixed-without-kminus", "bounds-n-and-q", "plot-negative-window",
-         "plot-splitting-and-lattice", "plot-zero-arms"],
+         "plot-splitting-and-lattice", "plot-zero-arms", "plot-splitting-with-arms",
+         "plot-over-budget"],
 )
 def test_missing_or_extra_input_exits_2_with_one_error_line(capsys, tmp_path, z17_json, argv, error):
     # `construct balance` without --beta used to end in an AttributeError
     # traceback; the other kinds blamed a malformed value for a missing
     # flag, `bounds` dropped --n when --q was given, `plot` drew a negative
     # window as an inverted viewBox, dropped --lattice beside --splitting
-    # and called zero arms missing
+    # and called zero arms missing; `plot --splitting` also ignored --kplus
+    # and --kminus, and allocated any window it was given before failing
     lattice = tmp_path / "lat.json"
     lattice.write_text('{"basis": [[4, 1], [3, 5]]}', encoding="utf-8")
     files = {"CODE": z17_json, "LATTICE": str(lattice)}
     code, out, err = run_cli(capsys, *[files.get(a, a) for a in argv])
     assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+def test_plot_budget_refuses_before_drawing(capsys, monkeypatch, tmp_path):
+    from quasicross import lattice
+
+    # the benchmark's plot: --window 12 on a 2-D packing of Z_11 draws about
+    # 25^2 * 7 / 11 = 397 cells, far below the budget
+    z11 = tmp_path / "z11.json"
+    z11.write_text(to_json(make_cyclic_splitting(11, 2, 1, [1, 4])), encoding="utf-8")
+    assert 397 * 1000 < lattice.RENDER_2D_MAX_CELLS
+    assert run_cli(capsys, "plot", "--splitting", str(z11))[0] == 0
+    monkeypatch.setattr(lattice, "RENDER_2D_MAX_CELLS", 396)
+    code, out, err = run_cli(capsys, "plot", "--splitting", str(z11))
+    assert (code, out, err) == (2, "", "error: window 12 would draw about 397 cells, more than 396\n")
+    monkeypatch.setattr(lattice, "RENDER_2D_MAX_CELLS", 397)
+    assert run_cli(capsys, "plot", "--splitting", str(z11))[0] == 0
 
 
 def test_verify_reports_skipped_geometric_check(capsys, monkeypatch, z17_json):

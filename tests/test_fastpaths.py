@@ -1,14 +1,17 @@
 """Cross-checks of the structured lattice paths against the dense ones and
 against the independent oracles: the diagonal-product determinant, the
-sparse kernel HNF (against its definition), the sparse coset reduction
-and the geometric check.
-Also the product scan's verdicts and table, and the integer-column codec: its syndrome against `splitting.image`,
+sparse kernel HNF (against its definition), the batch coset reduction,
+the geometric check and the lattice JSON writer.
+Also the product scan's verdicts and table (against a per-element scan),
+and the integer-column codec: its syndrome against `splitting.image`,
 its stored pivot inverse, and encode/decode round trips."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quasicross import (
@@ -32,8 +35,8 @@ from quasicross import (
 )
 from quasicross.codec import SyndromeTable
 from quasicross.intlinalg import bareiss_det, reduce_mod_lattice
-from quasicross.lattice import GEOMETRIC_CHECK_MAX_VOLUME, GeometricReport
-from quasicross.splitting import _scan_products
+from quasicross.lattice import GEOMETRIC_CHECK_MAX_VOLUME, GeometricReport, lattice_to_json
+from quasicross.splitting import Collision, PackingCheck, _scan_products
 
 import oracles
 
@@ -92,19 +95,25 @@ def test_sparse_kernel_matches_dense_reference(sp):
 @given(nonsingular_matrices(), st.data())
 def test_reduction_keys_agree_with_membership_oracle(rows, data):
     hnf = IntegerLattice(rows).hnf()
-    pivots = [row[-1][1] for row in hnf.rows]
+    det = determinant(hnf)
     n = len(rows)
     vectors = st.lists(st.integers(-40, 40), min_size=n, max_size=n)
     u, v = data.draw(vectors), data.draw(vectors)
-
-    def key(vec):
-        rep = reduce_mod_lattice(hnf.rows, {j: x for j, x in enumerate(vec) if x})
-        assert all(0 < x < pivots[j] for j, x in rep)
-        return rep
-
     diff = [a - b for a, b in zip(u, v)]
-    assert (key(u) == key(v)) == oracles.in_row_lattice(rows, diff)
-    assert (not key(diff)) == oracles.in_row_lattice(rows, diff)
+    batch = (u, v, diff)
+    columns = {j: {b: vec[j] for b, vec in enumerate(batch) if vec[j]} for j in range(n)}
+    given_columns = {j: dict(col) for j, col in columns.items()}
+    index = reduce_mod_lattice(hnf.rows, columns)
+    assert columns == given_columns  # the batch is read, not consumed
+    keys = [index.get(b, 0) for b in range(len(batch))]
+    assert all(0 <= key < det for key in keys)
+    alone = [
+        reduce_mod_lattice(hnf.rows, {j: {0: x} for j, x in enumerate(vec) if x}).get(0, 0)
+        for vec in batch
+    ]
+    assert keys == alone
+    assert (keys[0] == keys[1]) == oracles.in_row_lattice(rows, diff)
+    assert (keys[2] == 0) == oracles.in_row_lattice(rows, diff)
 
 
 def dense_geometric_check(sp: Splitting) -> GeometricReport:
@@ -183,6 +192,51 @@ def test_scan_decides_packing_tiling_and_the_syndrome_table(sp):
     if check.ok:
         expected = oracles.brute_products(*args)
         assert table == {prod: (sp.splitters.index(s), m) for prod, (m, s) in expected.items()}
+
+
+def per_element_scan(sp: Splitting):
+    """The product scan one `scalar_mul` at a time, splitters in order and
+    multipliers ascending: the reference for `_scan_products`."""
+    g = sp.group
+    table = {}
+    for i, s in enumerate(sp.splitters):
+        for m in sp.multipliers:
+            prod = g.scalar_mul(m, s)
+            if prod == g.zero:
+                return PackingCheck(False, Collision(m, s, None, None, prod)), table
+            if prod in table:
+                i0, m0 = table[prod]
+                return PackingCheck(False, Collision(m0, sp.splitters[i0], m, s, prod)), table
+            table[prod] = (i, m)
+    return PackingCheck(True, tiling=len(table) + 1 == g.order), table
+
+
+# a zero product m*s = 0 with m >= 2 comes after (m - 1)*s = -1*s collides,
+# so one is met first only at a negative multiplier: here -2*(0, 2) = 0
+ZERO_PRODUCT = Splitting(FiniteAbelianGroup((3, 4)), MultiplierSet(3, 2), ((1, 1), (0, 2)))
+COLLISION = Splitting(FiniteAbelianGroup((5, 5)), MultiplierSet(2, 1), ((1, 0), (0, 1), (2, 0)))
+
+
+def test_scan_reference_inputs_hit_a_zero_product_and_a_collision():
+    zero, collision = per_element_scan(ZERO_PRODUCT)[0], per_element_scan(COLLISION)[0]
+    assert zero.collision == Collision(-2, (0, 2), None, None, (0, 0))
+    assert collision.collision == Collision(2, (1, 0), 1, (2, 0), (2, 0))
+
+
+@example(ZERO_PRODUCT)
+@example(COLLISION)
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(splittings(), st.sampled_from(CONSTRUCTIONS)))
+def test_scan_matches_per_element_reference(sp):
+    assert _scan_products(sp) == per_element_scan(sp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(square_matrices(triangular=False), st.sampled_from(CONSTRUCTIONS)))
+def test_lattice_json_is_json_dumps_of_each_dense_row(case):
+    lat = IntegerLattice(case) if isinstance(case, list) else lattice_from_splitting(case)
+    expect = '{"basis": [' + ", ".join(json.dumps(r) for r in lat.basis) + "]}"
+    assert lattice_to_json(lat) == expect
 
 
 # --- integer-column codec -------------------------------------------------

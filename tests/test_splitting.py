@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from math import gcd
 
 import pytest
@@ -156,6 +157,32 @@ def test_image_homomorphism():
 def test_splitter_distinctness_enforced():
     with pytest.raises(ValueError):
         make_cyclic_splitting(17, 3, 2, [1, 18])  # 18 reduces to 1
+
+
+@pytest.mark.parametrize(
+    "splitters,message",
+    [
+        (((1,), (2.5,)), "element residues must be integers"),
+        (((1,), (2, 3)), "element has 2 coordinates, group has 1"),
+        (((1,), (18,)), "splitter elements must be distinct"),
+    ],
+    ids=["float", "wrong-length", "duplicate"],
+)
+def test_batch_splitter_validation_keeps_its_messages(splitters, message):
+    # the splitters are validated in one pass over the batch; a bad
+    # splitter after a good one raises the message it raised alone
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Splitting(FiniteAbelianGroup((17,)), MultiplierSet(3, 2), splitters)
+
+
+def test_batch_reduction_is_the_element_reduction():
+    g = FiniteAbelianGroup((4, 6, 5))
+    batch = [(5, -1, 12), [9, 13, 0], (-4, 6, -6)]
+    assert g.elements_of(batch) == tuple(g.element(e) for e in batch) == (
+        (1, 5, 2), (1, 1, 0), (0, 0, 4)
+    )
+    sp = Splitting(g, MultiplierSet(2, 1), batch)
+    assert sp.splitters == g.elements_of(batch)
 
 
 def test_json_round_trip():
