@@ -49,7 +49,6 @@ from .splitting import (
     QuasiCrossShape,
     Singularity,
     Splitting,
-    check_singular_prime_bound,
     classify_singularity,
     from_json,
     image,

@@ -15,6 +15,7 @@ import functools
 import json
 import signal
 import sys
+from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import codec as codec_mod
@@ -93,7 +94,7 @@ def _cmd_verify(args) -> int:
         return EXIT_NEGATIVE
     lat = lattice_mod.lattice_from_splitting(sp)
     det = lattice_mod.determinant(lat)
-    density = lattice_mod.packing_density(lat, sp.shape)
+    density = Fraction(sp.shape.volume, det)  # at most 1: the scan proved a packing
     periods = lattice_mod.period(sp)
     guard = lattice_mod.GEOMETRIC_CHECK_MAX_VOLUME
     geo = lattice_mod.geometric_check(sp, lat) if sp.shape.volume <= guard else None

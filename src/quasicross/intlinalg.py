@@ -7,6 +7,12 @@ is the lower-triangular one: row i has its pivot on the diagonal, zeros to
 the right of it, and the entries below a pivot are reduced into [0, pivot).
 A sparse row is the tuple of its nonzero (column, value) pairs in
 ascending column order, so the pivot of a sparse HNF row is its last pair.
+
+The HNF of any full-rank basis is computed modulo its determinant, which
+Bareiss elimination gives, so no entry outgrows it (Domich, Kannan &
+Trotter, Math. Oper. Res. 1987; Cohen, A Course in Computational
+Algebraic Number Theory, Alg. 2.4.8); its diagonal multiplies back to
+that determinant.
 """
 
 from __future__ import annotations
@@ -69,29 +75,31 @@ def hnf_lower(rows: Matrix) -> Matrix:
     The result H spans the same row lattice, has H[i][j] = 0 for j > i,
     H[i][i] > 0, and 0 <= H[i][j] < H[j][j] for i > j.  This form is
     unique, so it doubles as a canonical representative of the lattice.
+
+    Computed modulo R = |det| (Domich, Kannan & Trotter 1987; Cohen, Alg.
+    2.4.8): the lattice holds R*Z^n, so entries stay in [0, R).  Column c
+    is folded into row c, whose pivot is the gcd of what lands there with
+    R; the rows above and R*Z^c then span the part of the lattice that is
+    zero from column c on, of determinant R / pivot, the next modulus.
     """
-    n = len(rows)
-    m = [list(r) for r in rows]
-    if any(len(r) != n for r in m):
-        raise ValueError("hnf_lower expects a square matrix")
-    for c in range(n - 1, -1, -1):
-        # fold column c of rows 0..c-1 into row c, leaving the gcd there
+    mod = abs(bareiss_det(rows))
+    if mod == 0:
+        raise ValueError("lattice basis is singular")
+    m = [[x % mod for x in r] for r in rows]
+    for c in range(len(m) - 1, -1, -1):
         for r in range(c):
-            while m[r][c]:
-                a, b = m[c][c], m[r][c]
-                if a == 0 or abs(b) < abs(a):
-                    m[c], m[r] = m[r], m[c]
-                    continue
-                g, uu, vv = xgcd(a, b)
-                fa, fb = a // g, b // g
-                new_c = [uu * x + vv * y for x, y in zip(m[c], m[r])]
-                new_r = [-fb * x + fa * y for x, y in zip(m[c], m[r])]
-                m[c], m[r] = new_c, new_r
-        if m[c][c] == 0:
-            raise ValueError("matrix is not full rank")
-        if m[c][c] < 0:
-            m[c] = [-x for x in m[c]]
-    for i in range(n):
+            if m[r][c]:
+                g, uu, vv = xgcd(m[c][c], m[r][c])
+                fa, fb = m[c][c] // g, m[r][c] // g
+                m[c], m[r] = (
+                    [(uu * x + vv * y) % mod for x, y in zip(m[c], m[r])],
+                    [(fa * y - fb * x) % mod for x, y in zip(m[c], m[r])],
+                )
+        g, u, _ = xgcd(m[c][c], mod)
+        m[c] = [u * x % mod for x in m[c]]
+        m[c][c] = g
+        mod //= g
+    for i in range(len(m)):
         for j in range(i - 1, -1, -1):
             q = m[i][j] // m[j][j]
             if q:

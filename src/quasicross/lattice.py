@@ -1,9 +1,13 @@
 """Integer lattices derived from splittings.
 
 The lattice of a splitting is the kernel of the homomorphism
-x -> sum x_i s_i, a full-rank sublattice of Z^n.  Kernel bases are kept in
-lower-triangular Hermite normal form, which is unique, so equal lattices
-compare equal.  Rows are stored sparsely: the paper's kernels are a
+x -> sum x_i s_i, a full-rank sublattice of Z^n.  Its lower-triangular
+Hermite normal form (HNF) is unique, so equal lattices have equal HNFs,
+and the determinant is the HNF diagonal's product.  A kernel lattice is
+built in HNF; any other basis gets its HNF once, modulo its determinant
+(`intlinalg.hnf_lower`, after Domich, Kannan & Trotter, Math. Oper. Res.
+1987, and Cohen, A Course in Computational Algebraic Number Theory, Alg.
+2.4.8).  Rows are stored sparsely: the paper's kernels are a
 diagonal plus a few nonzero columns below it, so building, reducing and
 taking the determinant cost O(n + nonzeros), and dense rows are made only
 for output.  `geometric_check` re-derives the packing/tiling verdict
@@ -17,10 +21,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 from .groups import integers
-from .intlinalg import SparseRow, bareiss_det, hnf_lower, kernel_hnf, reduce_mod_lattice
+from .intlinalg import SparseRow, hnf_lower, kernel_hnf, reduce_mod_lattice
 from .splitting import QuasiCrossShape, Splitting, json_int_list
 
 GEOMETRIC_CHECK_MAX_VOLUME = 100_000
@@ -42,14 +47,15 @@ class IntegerLattice:
         n = len(dense)
         if n == 0 or any(len(r) != n for r in dense):
             raise ValueError("basis must be a non-empty square matrix")
-        rows = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in dense)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", _sparse(dense))
 
     @classmethod
     def from_rows(cls, rows: tuple[SparseRow, ...]) -> IntegerLattice:
-        """Wrap sparse rows of a square basis without densifying them."""
+        """Wrap the sparse rows of a lower-triangular HNF basis without
+        densifying them; the lattice is its own `hnf()`."""
         lat = object.__new__(cls)
         object.__setattr__(lat, "rows", rows)
+        lat.__dict__["_hnf"] = lat
         return lat
 
     @property
@@ -64,9 +70,6 @@ class IntegerLattice:
                 out[j] = x
         return tuple(map(tuple, dense))
 
-    def is_lower_triangular(self) -> bool:
-        return all(not row or row[-1][0] <= i for i, row in enumerate(self.rows))
-
     def is_hnf(self) -> bool:
         pivots = []
         for i, row in enumerate(self.rows):
@@ -78,10 +81,12 @@ class IntegerLattice:
         return True
 
     def hnf(self) -> IntegerLattice:
-        """The same lattice with its canonical lower-triangular HNF basis."""
-        if self.is_hnf():
-            return self
-        return IntegerLattice(hnf_lower([list(r) for r in self.basis]))
+        """The same lattice in its canonical lower-triangular HNF, computed once."""
+        return self._hnf
+
+    @cached_property
+    def _hnf(self) -> IntegerLattice:
+        return IntegerLattice.from_rows(_sparse(hnf_lower([list(r) for r in self.basis])))
 
     def contains(self, vector) -> bool:
         vec = integers(vector, "vector entries")
@@ -91,8 +96,12 @@ class IntegerLattice:
         return not reduce_mod_lattice(self.hnf().rows, batch).get(0)
 
 
+def _sparse(dense) -> tuple[SparseRow, ...]:
+    return tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in dense)
+
+
 def lattice_from_splitting(sp: Splitting) -> IntegerLattice:
-    """Kernel of x -> sum x_i s_i as an HNF-basis lattice.
+    """Kernel of x -> sum x_i s_i as an HNF-basis lattice, its own `hnf()`.
 
     The sparse HNF comes straight from the group arithmetic
     (`intlinalg.kernel_hnf`).  For a cyclic group whose first splitter is
@@ -105,16 +114,11 @@ def lattice_from_splitting(sp: Splitting) -> IntegerLattice:
 def determinant(lat: IntegerLattice) -> int:
     """|det| of the basis; the volume of a fundamental region.
 
-    A lower-triangular basis, such as every kernel lattice, gives the
-    product of its diagonal in O(n); any other basis goes through exact
-    Bareiss elimination."""
-    if lat.is_lower_triangular():
-        d = prod(row[-1][1] if row and row[-1][0] == i else 0 for i, row in enumerate(lat.rows))
-    else:
-        d = bareiss_det([list(r) for r in lat.basis])
-    if d == 0:
-        raise ValueError("lattice basis is singular")
-    return abs(d)
+    The product of the HNF diagonal: a kernel lattice carries its HNF, and
+    any other basis gets it modulo its determinant (`intlinalg.hnf_lower`;
+    Domich, Kannan & Trotter 1987; Cohen, Alg. 2.4.8), which refuses a
+    singular basis."""
+    return prod(row[-1][1] for row in lat.hnf().rows)
 
 
 def packing_density(lat: IntegerLattice, shape: QuasiCrossShape) -> Fraction:
@@ -256,7 +260,8 @@ def render_2d(lat: IntegerLattice, shape: QuasiCrossShape, window: int) -> str:
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
     canonical = lat.hnf()
-    cells = (2 * window + 1) ** 2 * shape.volume // determinant(canonical)
+    (a, _), (_, c) = canonical.basis  # the HNF diagonal: det = a * c
+    cells = (2 * window + 1) ** 2 * shape.volume // (a * c)
     if cells > RENDER_2D_MAX_CELLS:
         raise ValueError(
             f"window {window} would draw about {cells} cells, more than {RENDER_2D_MAX_CELLS}"

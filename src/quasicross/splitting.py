@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
@@ -45,10 +44,6 @@ class MultiplierSet:
 
     def __len__(self) -> int:
         return self.k_plus + self.k_minus
-
-    def count_divisible_by(self, p: int) -> int:
-        """How many multipliers the prime p divides."""
-        return self.k_plus // p + self.k_minus // p
 
 
 @dataclass(frozen=True)
@@ -212,25 +207,6 @@ def classify_singularity(sp: Splitting) -> Singularity:
     ):
         return Singularity.PURELY_SINGULAR
     return Singularity.SINGULAR
-
-
-def check_singular_prime_bound(sp: Splitting) -> bool:
-    """For a purely-singular perfect splitting, every prime divisor p of
-    |G| must divide at least |M|/p^2 of the multipliers.
-
-    This is a diagnostic: a False return on a valid input signals a bug
-    upstream, not a property of the input.  Raises if the splitting is
-    not a purely-singular tiling.
-    """
-    if not is_tiling(sp):
-        raise ValueError("check_singular_prime_bound needs a perfect splitting")
-    if classify_singularity(sp) is not Singularity.PURELY_SINGULAR:
-        raise ValueError("check_singular_prime_bound needs a purely-singular splitting")
-    m_size = len(sp.multipliers)
-    return all(
-        sp.multipliers.count_divisible_by(p) >= Fraction(m_size, p * p)
-        for p in prime_factors(sp.group.order)
-    )
 
 
 def image(sp: Splitting, vector) -> Element:

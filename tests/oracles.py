@@ -42,6 +42,29 @@ def brute_is_tiling(orders, k_plus, k_minus, splitters) -> bool:
     return len(table) == size - 1
 
 
+def count_divisible_by(k_plus: int, k_minus: int, p: int) -> int:
+    """How many of the multipliers -k_minus..-1, 1..k_plus the prime p
+    divides."""
+    return k_plus // p + k_minus // p
+
+
+def check_singular_prime_bound(orders, k_plus, k_minus, splitters) -> bool:
+    """For a purely-singular perfect splitting, every prime divisor p of
+    |G| must divide at least |M|/p^2 of the multipliers.
+
+    A False return on a valid input signals a bug upstream, not a
+    property of the input.  Raises if the splitting is not a tiling, or if
+    some prime of |G| divides no multiplier (not purely singular)."""
+    if not brute_is_tiling(orders, k_plus, k_minus, splitters):
+        raise ValueError("the prime bound needs a perfect splitting")
+    size = prod(orders)
+    primes = [p for p in range(2, size + 1) if size % p == 0 and all(p % d for d in range(2, p))]
+    counts = [count_divisible_by(k_plus, k_minus, p) for p in primes]
+    if 0 in counts:
+        raise ValueError("the prime bound needs a purely-singular splitting")
+    return all(c * p * p >= k_plus + k_minus for c, p in zip(counts, primes))
+
+
 def brute_element_order(orders, element) -> int:
     """Smallest t > 0 with t*element == 0, by direct iteration."""
     t = 1
@@ -111,6 +134,16 @@ def span_size(orders, splitters) -> int:
     return len(seen)
 
 
+def is_lower_hnf(basis) -> bool:
+    """Whether the rows of a square basis are in lower-triangular HNF:
+    positive diagonal, zeros above it, each entry below a pivot in
+    [0, pivot)."""
+    return all(
+        row[i] > 0 and not any(row[i + 1 :]) and all(0 <= x < basis[j][j] for j, x in enumerate(row[:i]))
+        for i, row in enumerate(basis)
+    )
+
+
 def is_kernel_hnf(orders, splitters, basis) -> bool:
     """Whether `basis` is the lower-triangular HNF of the kernel of
     x -> sum x_i s_i: every row maps to 0; the rows are in HNF (positive
@@ -124,12 +157,7 @@ def is_kernel_hnf(orders, splitters, basis) -> bool:
     for row in basis:
         if any(sum(x * s[j] for x, s in zip(row, splitters)) % d for j, d in enumerate(orders)):
             return False
-    for i, row in enumerate(basis):
-        if row[i] <= 0 or any(row[i + 1 :]):
-            return False
-        if any(not 0 <= x < basis[j][j] for j, x in enumerate(row[:i])):
-            return False
-    return prod(basis[i][i] for i in range(n)) == span_size(orders, splitters)
+    return is_lower_hnf(basis) and prod(basis[i][i] for i in range(n)) == span_size(orders, splitters)
 
 
 def first_unit_pivots(splitters, modulus):

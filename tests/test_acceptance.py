@@ -13,7 +13,6 @@ from quasicross import (
     QuasiCrossShape,
     Singularity,
     SyndromeTable,
-    check_singular_prime_bound,
     classify_singularity,
     cyclic_splitting,
     decode,
@@ -38,6 +37,8 @@ from quasicross import (
     two_one_splitting,
     verify_packing,
 )
+
+import oracles
 
 GEOMETRIC_GUARD = 100_000
 
@@ -256,4 +257,4 @@ def test_group_theorem_invariants_on_survey_output(full_survey):
             if row.k_minus == row.k_plus - 1:
                 assert gcd(row.k_plus, row.q) != 1
             if classify_singularity(sp) is Singularity.PURELY_SINGULAR:
-                assert check_singular_prime_bound(sp)
+                assert oracles.check_singular_prime_bound((row.q,), row.k_plus, row.k_minus, sp.splitters)

@@ -292,6 +292,7 @@ MALFORMED_LATTICES = {
     "float_entry": '{"basis": [[4.5, 1], [3, 5]]}',
     "bool_entry": '{"basis": [[4, true], [3, 5]]}',
     "not_square": '{"basis": [[4, 1, 0], [3, 5, 0]]}',
+    "singular": '{"basis": [[1, 2], [2, 4]]}',
 }
 
 
@@ -304,7 +305,7 @@ def test_plot_malformed_lattice_exit_2(capsys, tmp_path, name):
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

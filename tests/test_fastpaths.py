@@ -34,7 +34,7 @@ from quasicross import (
     two_one_splitting,
 )
 from quasicross.codec import SyndromeTable
-from quasicross.intlinalg import bareiss_det, reduce_mod_lattice
+from quasicross.intlinalg import bareiss_det, hnf_lower, reduce_mod_lattice
 from quasicross.lattice import GEOMETRIC_CHECK_MAX_VOLUME, GeometricReport, lattice_to_json
 from quasicross.splitting import Collision, PackingCheck, _scan_products
 
@@ -81,6 +81,34 @@ def test_determinant_matches_bareiss_and_fraction_oracle(rows):
             determinant(IntegerLattice(rows))
     else:
         assert determinant(IntegerLattice(rows)) == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonsingular_matrices())
+@example([[1, 2], [0, 3]])  # the folded pivot 2 is not the HNF's: its gcd with det 3 is
+def test_hnf_lower_spans_the_same_lattice_in_hnf(rows):
+    h = hnf_lower(rows)
+    assert oracles.is_lower_hnf(h)
+    assert all(oracles.in_row_lattice(rows, row) for row in h)
+    assert all(oracles.in_row_lattice(h, row) for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(splittings(), st.data())
+def test_hnf_of_a_scrambled_kernel_basis_is_the_kernel_hnf(sp, data):
+    lat = lattice_from_splitting(sp)
+    rows = [list(row) for row in lat.basis]
+    n = len(rows)
+    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+    for i, j, k in data.draw(st.lists(steps, max_size=12)):
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+    other = IntegerLattice(rows)
+    assert other.hnf().rows == lat.rows
+    assert determinant(other) == determinant(lat) == oracles.span_size(sp.group.orders, sp.splitters)
+    assert lat.hnf() is lat and other.hnf() is other.hnf()  # each HNF is computed once
 
 
 @settings(max_examples=200, deadline=None)

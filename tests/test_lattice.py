@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import random
+import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -28,7 +31,7 @@ from quasicross import (
     verify_packing,
 )
 from quasicross.cli import main
-from quasicross.intlinalg import hnf_lower
+from quasicross.intlinalg import bareiss_det, hnf_lower
 
 import oracles
 
@@ -246,7 +249,7 @@ def test_geometric_check_counts_cosets_of_any_basis_of_the_lattice():
     sp = make_cyclic_splitting(17, 3, 2, [1, 13])
     (a, b), (c, d) = lattice_from_splitting(sp).basis
     other = IntegerLattice(((a + 3 * c, b + 3 * d), (2 * a + 7 * c, 2 * b + 7 * d)))  # det 1 change
-    assert not other.is_lower_triangular()
+    assert not other.is_hnf()
     assert geometric_check(sp, other) == geometric_check(sp) == GeometricReport("packing", 6)
 
 
@@ -320,6 +323,18 @@ def test_hnf_lower_properties():
     # idempotent and sign-normalizing
     assert hnf_lower(h) == h
     assert hnf_lower([[-4, -1], [3, 5]]) == h
+
+
+def test_hnf_lower_of_a_dense_40x40_basis_is_fast():
+    # without the reduction modulo the determinant the coefficients of the
+    # xgcd fold grow past any bound at this size
+    rng = random.Random(40)
+    rows = [[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)]
+    start = time.perf_counter()
+    h = hnf_lower(rows)
+    assert time.perf_counter() - start < 1.0
+    assert oracles.is_lower_hnf(h)
+    assert prod(h[i][i] for i in range(40)) == abs(bareiss_det(rows)) > 0
 
 
 def ex1_lattice():

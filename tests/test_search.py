@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from quasicross import (
     SearchTimeout,
-    check_singular_prime_bound,
     classify_singularity,
     geometric_check,
     is_tiling,
@@ -337,7 +336,7 @@ def test_search_results_satisfy_group_theorems():
         for sp in search_tilings(2, 1, q):
             assert gcd(2, q) != 1
             assert classify_singularity(sp) is Singularity.PURELY_SINGULAR
-            assert check_singular_prime_bound(sp)
+            assert oracles.check_singular_prime_bound((q,), 2, 1, sp.splitters)
             assert geometric_check(sp).verdict == "tiling"
 
 

@@ -11,7 +11,6 @@ from quasicross import (
     QuasiCrossShape,
     Singularity,
     Splitting,
-    check_singular_prime_bound,
     classify_singularity,
     from_json,
     image,
@@ -46,9 +45,9 @@ def test_multiplier_set():
 
 
 def test_count_divisible_by():
-    assert MultiplierSet(2, 1).count_divisible_by(2) == 1
-    assert MultiplierSet(4, 3).count_divisible_by(2) == 3
-    assert MultiplierSet(3, 2).count_divisible_by(5) == 0
+    assert oracles.count_divisible_by(2, 1, 2) == 1
+    assert oracles.count_divisible_by(4, 3, 2) == 3
+    assert oracles.count_divisible_by(3, 2, 5) == 0
 
 
 def test_shape_volume_and_ratio():
@@ -115,12 +114,19 @@ def test_classify_singularity():
     assert classify_singularity(sp) is Singularity.SINGULAR
 
 
+def prime_bound(sp):
+    arms = sp.multipliers
+    return oracles.check_singular_prime_bound(sp.group.orders, arms.k_plus, arms.k_minus, sp.splitters)
+
+
 def test_singular_prime_bound():
-    assert check_singular_prime_bound(z16_tiling())
-    assert check_singular_prime_bound(make_cyclic_splitting(4, 2, 1, [1]))
-    assert check_singular_prime_bound(two_one_splitting(3))
-    with pytest.raises(ValueError):
-        check_singular_prime_bound(z17_example())  # not a tiling
+    assert prime_bound(z16_tiling())
+    assert prime_bound(make_cyclic_splitting(4, 2, 1, [1]))
+    assert prime_bound(two_one_splitting(3))
+    with pytest.raises(ValueError, match="perfect"):
+        prime_bound(z17_example())  # not a tiling
+    with pytest.raises(ValueError, match="purely-singular"):
+        prime_bound(make_cyclic_splitting(5, 3, 1, [1]))  # 5 divides no multiplier
 
 
 def test_unit_scaling_preserves_verdicts():
