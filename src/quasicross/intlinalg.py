@@ -13,10 +13,17 @@ Bareiss elimination gives, so no entry outgrows it (Domich, Kannan &
 Trotter, Math. Oper. Res. 1987; Cohen, A Course in Computational
 Algebraic Number Theory, Alg. 2.4.8); its diagonal multiplies back to
 that determinant.
+
+The pivot-1 fact: in a lower HNF every entry in the column of a pivot of
+1 is 0, as it must lie in [0, 1).  A kernel lattice of G has at most
+log2|G| pivots above 1, as they multiply to at most |G|; so every other
+row is e_i plus entries in those few columns, which `kernel_hnf` and
+`reduce_mod_lattice` treat as whole-list passes, one per such column.
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress, count, repeat
 from math import gcd
 
 Matrix = list[list[int]]
@@ -114,8 +121,9 @@ def kernel_hnf(vectors, moduli) -> list[SparseRow]:
     modulo the subgroup H generated by v_0..v_{i-1}, and the row is t*e_i
     minus an expression of t*v_i over the earlier generators, reduced into
     HNF range.  Only columns with a pivot above 1 (at most log2 of the
-    group order of them) ever enter such an expression, so the rows cost
-    O(n + nonzeros) beyond the small k x k work per column.
+    group order of them) ever enter such an expression, and H changes
+    only there: so each run of rows up to the next vector outside H is one
+    batch of whole-list passes over the vectors left (a sequence).
 
     H is kept as a lower-triangular basis `gens` of its preimage in Z^k,
     which starts as diag(moduli); `combos[c]` records which combination of
@@ -125,35 +133,42 @@ def kernel_hnf(vectors, moduli) -> list[SparseRow]:
     gens = [[d if c == r else 0 for c in range(k)] for r, d in enumerate(moduli)]
     combos: list[dict[int, int]] = [{} for _ in range(k)]
     pivots: list[tuple[int, int, SparseRow]] = []  # (column, pivot, row), ascending
-    rows = []
-    for i, v in enumerate(vectors):
-        # smallest t with t*v in H, and t*v = sum coef[c] * gens[c]
-        t, rest, coef = 1, list(v), [0] * k
+    rows: list[SparseRow] = []
+    while len(rows) < len(vectors):
+        # rest[c][b] = (t*v - sum coef[c'] * gens[c'])[c] for the b-th vector
+        # of the run; only the last one can leave H, so only its t is not 1
+        start, t, coef = len(rows), 1, {}
+        rest = [list(col) for col in zip(*vectors[start:])]
         for c in range(k - 1, -1, -1):
             d = gens[c][c]
-            f = d // gcd(rest[c], d)
-            if f != 1:
-                t *= f
-                rest = [f * x for x in rest]
-                coef = [f * x for x in coef]
-            coef[c] = rest[c] // d
-            if coef[c]:
-                rest = [x - coef[c] * y for x, y in zip(rest, gens[c])]
-        row: dict[int, int] = {}
-        for c in range(k):
+            out = next(compress(count(), [x % d for x in rest[c]]), None)
+            if out is not None:  # the run ends at its first vector outside H
+                f = d // gcd(rest[c][out], d)
+                t = f * (t if out == len(rest[c]) - 1 else 1)
+                rest = [col[:out] + [f * col[out]] for col in rest]
+                coef = {j: col[:out] + [f * col[out]] for j, col in coef.items()}
+            coef[c] = [x // d for x in rest[c]]
+            for j in range(c):
+                if gens[c][j]:
+                    rest[j] = [x - gens[c][j] * a for x, a in zip(rest[j], coef[c])]
+        run = len(rest[0])
+        entries = {j: [0] * run for j, _, _ in pivots}
+        for c, col in coef.items():
             for j, a in combos[c].items():
-                row[j] = row.get(j, 0) - coef[c] * a
+                entries[j] = [x - a * y for x, y in zip(entries[j], col)]
         for j, pivot, prow in reversed(pivots):
-            q = row.get(j, 0) // pivot
-            if q:
-                for jj, h in prow:
-                    row[jj] = row.get(jj, 0) - q * h
-        sparse = tuple((j, row[j]) for j in sorted(row) if row[j]) + ((i, t),)
-        rows.append(sparse)
+            q = [x // pivot for x in entries[j]]
+            for jj, h in prow:
+                entries[jj] = [x - h * y for x, y in zip(entries[jj], q)]
+        run_rows = [()] * run
+        for j, col in entries.items():
+            run_rows = [r + ((j, x),) if x else r for r, x in zip(run_rows, col)]
+        i = start + run - 1  # the run's last vector
+        rows += [r + ((j, 1),) for j, r in enumerate(run_rows[:-1], start)] + [run_rows[-1] + ((i, t),)]
         if t == 1:
             continue
-        pivots.append((i, t, sparse))
-        new, combo = list(v), {i: 1}
+        pivots.append((i, t, rows[-1]))
+        new, combo = list(vectors[i]), {i: 1}
         for c in range(k - 1, -1, -1):
             if new[c]:
                 g, u, w = xgcd(gens[c][c], new[c])
@@ -179,32 +194,41 @@ def reduce_mod_lattice(hnf, columns: dict[int, dict[int, int]]) -> dict[int, int
     spanned by sparse lower-triangular HNF rows.
 
     The batch comes column-wise, coordinate -> {vector id: value}, absent
-    entries 0, and each coordinate is visited once for the whole batch,
-    largest first.  A vector's canonical representative in the box
+    entries 0.  A vector's canonical representative in the box
     prod([0, pivot_i)), one point per coset, is returned as its index: the
     mixed-radix number it reads as, coordinate 0 most significant.  Equal
     cosets give equal indices and the lattice gets 0, as does any vector
     id absent from `columns`.
+
+    By the pivot-1 fact (module docstring) a row with pivot 1 carries its
+    whole value into the pivot columns above 1, so all such rows move
+    there at once, one comprehension per pivot column; only those columns,
+    each a list over all vector ids, then divide and carry, largest first.
     """
-    x = {i: dict(col) for i, col in columns.items()}
-    index = dict.fromkeys((v for col in columns.values() for v in col), 0)
-    weight = 1
-    for i in range(len(hnf) - 1, -1, -1):
-        row = hnf[i]
-        pivot = row[-1][1]
-        col = x.pop(i, None)
-        if col:
-            if pivot > 1:  # a pivot of 1 keeps r = 0 and has q = value
-                for v, value in col.items():
-                    q, r = divmod(value, pivot)
-                    index[v] += r * weight
-                    col[v] = q
-            for j, h in row[:-1]:
-                below = x.setdefault(j, {})
-                for v, q in col.items():
-                    below[v] = below.get(v, 0) - q * h
+    ids = list(dict.fromkeys(chain.from_iterable(columns.values())))
+    big = [i for i, row in enumerate(hnf) if row[-1][1] > 1]
+    unit = [(col, hnf[i][:-1]) for i, col in columns.items() if hnf[i][-1][1] == 1]
+    dense = {}
+    for p in big:
+        pairs = [*columns.get(p, {}).items()] + [
+            (v, -h * x) for col, row in unit for j, h in row if j == p for v, x in col.items()
+        ]
+        merged = dict(pairs)
+        if len(merged) < len(pairs):  # a vector with several coordinates: add its parts
+            merged = dict.fromkeys(merged, 0)
+            for v, x in pairs:
+                merged[v] += x
+        dense[p] = list(map(merged.get, ids, repeat(0)))
+    index, weight = [0] * len(ids), 1
+    for p in reversed(big):
+        pivot = hnf[p][-1][1]
+        index = [a + x % pivot * weight for a, x in zip(index, dense[p])]
+        if len(hnf[p]) > 1:  # carry the quotients into the pivot columns left of p
+            q = [x // pivot for x in dense[p]]
+            for j, h in hnf[p][:-1]:
+                dense[j] = [x - h * y for x, y in zip(dense[j], q)]
         weight *= pivot
-    return index
+    return dict(zip(ids, index))
 
 
 def bareiss_det(rows: Matrix) -> int:

@@ -7,13 +7,16 @@ and the determinant is the HNF diagonal's product.  A kernel lattice is
 built in HNF; any other basis gets its HNF once, modulo its determinant
 (`intlinalg.hnf_lower`, after Domich, Kannan & Trotter, Math. Oper. Res.
 1987, and Cohen, A Course in Computational Algebraic Number Theory, Alg.
-2.4.8).  Rows are stored sparsely: the paper's kernels are a
-diagonal plus a few nonzero columns below it, so building, reducing and
-taking the determinant cost O(n + nonzeros), and dense rows are made only
-for output.  `geometric_check` re-derives the packing/tiling verdict
-purely from the lattice geometry (coset coverage on the quotient torus),
-independently of the product-table logic in `splitting`: one batch
-reduction gives every cross cell its coset index.
+2.4.8).  Rows are stored sparsely, and the pivot-1 fact keeps them
+sparse: in a lower HNF every entry in the column of a pivot of 1 is 0,
+as it must lie in [0, 1), and a kernel of G has at most log2|G| pivots
+above 1, so every other row is e_i plus entries in those few columns.
+Building, reducing and taking the determinant work on those columns in
+whole-list passes, and dense rows are made only for output.
+`geometric_check` re-derives the packing/tiling verdict purely from the
+lattice geometry (coset coverage on the quotient torus), independently of
+the product-table logic in `splitting`: one batch reduction gives every
+cross cell its coset index.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from itertools import count
+from math import gcd, lcm, prod
 
 from .groups import integers
 from .intlinalg import SparseRow, hnf_lower, kernel_hnf, reduce_mod_lattice
@@ -135,8 +139,10 @@ def packing_density(lat: IntegerLattice, shape: QuasiCrossShape) -> Fraction:
 
 def period(sp: Splitting) -> tuple[int, ...]:
     """Per-coordinate periods of the lattice: the i-th entry is the least
-    t > 0 with t*e_i in the lattice, which is the order of s_i in G."""
-    return tuple(sp.group.element_order(s) for s in sp.splitters)
+    t > 0 with t*e_i in the lattice, which is the order of s_i in G: the
+    lcm over the cyclic factors of d // gcd(x, d), one column at a time."""
+    columns = [[d // gcd(x, d) for x in col] for col, d in zip(zip(*sp.splitters), sp.group.orders)]
+    return tuple(map(lcm, *columns))
 
 
 @dataclass(frozen=True)
@@ -180,17 +186,20 @@ def geometric_check(sp: Splitting, lat: IntegerLattice | None = None) -> Geometr
     if lat is None:
         lat = lattice_from_splitting(sp)
     hnf = lat.hnf().rows
-    cells = [(i, m) for i in range(sp.n) for m in sp.multipliers]
-    columns: dict[int, dict[int, int]] = {i: {} for i in range(sp.n)}
-    for v, (i, m) in enumerate(cells):
-        columns[i][v] = m  # cell v is the vector m*e_i
+    ms = sp.multipliers.elements
+    span = len(ms)  # cell v = span*i + a is the vector ms[a]*e_i
+    ids = count()
+    columns = {i: {next(ids): m for m in ms} for i in range(sp.n)}
     index = reduce_mod_lattice(hnf, columns)
-    seen: dict[int, tuple[int, int] | None] = {0: None}
-    for v, cell in enumerate(cells):
-        if index[v] in seen:
-            return GeometricReport("overlap", 0, (seen[index[v]], cell))
-        seen[index[v]] = cell
-    uncovered = prod(row[-1][1] for row in hnf) - len(seen)
+    keys = list(map(index.__getitem__, range(span * sp.n)))
+    if len({0, *keys}) <= len(keys):  # an overlap: walk to the first one
+        seen: dict[int, tuple[int, int] | None] = {0: None}
+        for v, key in enumerate(keys):
+            cell = (v // span, ms[v % span])
+            if key in seen:
+                return GeometricReport("overlap", 0, (seen[key], cell))
+            seen[key] = cell
+    uncovered = prod(row[-1][1] for row in hnf) - 1 - len(keys)
     return GeometricReport("tiling" if uncovered == 0 else "packing", uncovered)
 
 
@@ -199,13 +208,15 @@ def geometric_check(sp: Splitting, lat: IntegerLattice | None = None) -> Geometr
 
 def lattice_to_json(lat: IntegerLattice) -> str:
     """`{"basis": [[...], ...]}`, the bytes of `json.dumps` of the dense
-    rows, each written from its sparse pairs over a row of "0" strings."""
+    rows, each written from its sparse pairs with every run of zeros as
+    one repeated "0, "."""
     rows = []
     for row in lat.rows:
-        dense = ["0"] * lat.n
+        text, nxt = "", 0
         for j, x in row:
-            dense[j] = str(x)
-        rows.append("[" + ", ".join(dense) + "]")
+            text += "0, " * (j - nxt) + f"{x}, "
+            nxt = j + 1
+        rows.append("[" + (text + "0, " * (lat.n - nxt))[:-2] + "]")
     return '{"basis": [' + ", ".join(rows) + "]}"
 
 

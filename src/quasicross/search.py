@@ -82,6 +82,9 @@ from .splitting import (
 )
 
 
+COVER_MASKS_MAX_BYTES = 100_000_000  # q up to 28,284
+
+
 class SearchTimeout(Exception):
     """Raised when a single search instance exceeds its time budget."""
 
@@ -96,8 +99,12 @@ def _check_time_limit(time_limit: float | None) -> None:
 def _cover_blocks(q: int, multipliers: MultiplierSet, check_clock) -> list[int]:
     """Per residue p, the bitmask of the valid splitters whose block holds
     p, built from the positive multiples alone (both facts in the module
-    docstring).  The masks take O(q^2) bits, so the deadline is checked
-    once per multiplier pass."""
+    docstring).  The masks take about q^2/8 bytes: an order over
+    COVER_MASKS_MAX_BYTES is refused before any is made, and the deadline
+    is checked once per multiplier pass."""
+    if q * q // 8 > COVER_MASKS_MAX_BYTES:
+        raise ValueError(f"search over Z_{q} needs about {q * q // 8} bytes of cover masks, "
+                         f"more than {COVER_MASKS_MAX_BYTES}")
     span = len(multipliers)
     valid = [s for s in range(1, q) if gcd(s, q) * span < q]  # ord(s) > span
     holders = [0] * q

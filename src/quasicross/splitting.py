@@ -17,6 +17,7 @@ import enum
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, product
 from math import gcd
 
 from .groups import Element, FiniteAbelianGroup, cyclic_group, integers, prime_factors
@@ -156,22 +157,27 @@ def make_cyclic_splitting(q: int, k_plus: int, k_minus: int, splitters) -> Split
 
 
 def _scan_products(sp: Splitting):
-    """The check and the table m*s_i -> (i, m) built on the way; the |M|
-    products of a splitter are made one cyclic factor (column) at a time."""
+    """The check and the table m*s_i -> (i, m) built on the way.  All
+    n*|M| products are made at once, one cyclic factor (column) at a time,
+    and keyed in (i, m) order; only a table shorter than the products or
+    holding 0 walks them again, to the first collision and the table
+    before it."""
     g = sp.group
-    zero = g.zero
     ms = sp.multipliers.elements
-    table: dict[Element, tuple[int, int]] = {}
-    for i, s in enumerate(sp.splitters):
-        columns = [[m * x % d for m in ms] for x, d in zip(s, g.orders)]
-        for m, prod in zip(ms, zip(*columns)):
-            if prod == zero:
-                return PackingCheck(False, Collision(m, s, None, None, prod)), table
-            if prod in table:
-                i0, m0 = table[prod]
-                return PackingCheck(False, Collision(m0, sp.splitters[i0], m, s, prod)), table
-            table[prod] = (i, m)
-    return PackingCheck(True, tiling=len(table) + 1 == g.order), table
+    columns = [[m * x % d for x in col for m in ms] for col, d in zip(zip(*sp.splitters), g.orders)]
+    products = list(zip(*columns))
+    table: dict[Element, tuple[int, int]] = dict(zip(products, product(range(sp.n), ms)))
+    if len(table) == len(products) and g.zero not in table:
+        return PackingCheck(True, tiling=len(table) + 1 == g.order), table
+    table = {}
+    for prod, (i, m) in zip(products, product(range(sp.n), ms)):
+        s = sp.splitters[i]
+        if prod == g.zero:
+            return PackingCheck(False, Collision(m, s, None, None, prod)), table
+        if prod in table:
+            i0, m0 = table[prod]
+            return PackingCheck(False, Collision(m0, sp.splitters[i0], m, s, prod)), table
+        table[prod] = (i, m)
 
 
 def verify_packing(sp: Splitting) -> PackingCheck:
@@ -254,11 +260,13 @@ def from_json_dict(data) -> Splitting:
     missing = [key for key in ("orders", "k_plus", "k_minus", "splitters") if key not in data]
     if missing:
         raise ValueError(f"splitting JSON is missing field {missing[0]!r}")
-    if not isinstance(data["splitters"], list):
+    splitters = data["splitters"]
+    if not isinstance(splitters, list):
         raise ValueError("splitters must be a list of elements")
     k_plus, k_minus = json_int_list([data["k_plus"], data["k_minus"]], "k_plus and k_minus")
     group = FiniteAbelianGroup(json_int_list(data["orders"], "orders"))
-    splitters = tuple(json_int_list(s, "each splitter") for s in data["splitters"])
+    if not {*map(type, splitters)} <= {list} or not {*map(type, chain(*splitters))} <= {int}:
+        raise ValueError("each splitter must be a list of integers")
     return Splitting(group, MultiplierSet(k_plus, k_minus), splitters)
 
 

@@ -1,7 +1,7 @@
 """Cross-checks of the structured lattice paths against the dense ones and
 against the independent oracles: the diagonal-product determinant, the
-sparse kernel HNF (against its definition), the batch coset reduction,
-the geometric check and the lattice JSON writer.
+sparse kernel HNF (against its definition and a per-row reference), the
+batch coset reduction, the geometric check and the lattice JSON writer.
 Also the product scan's verdicts and table (against a per-element scan),
 and the integer-column codec: its syndrome against `splitting.image`,
 its stored pivot inverse, and encode/decode round trips."""
@@ -9,6 +9,7 @@ its stored pivot inverse, and encode/decode round trips."""
 from __future__ import annotations
 
 import json
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -34,9 +35,9 @@ from quasicross import (
     two_one_splitting,
 )
 from quasicross.codec import SyndromeTable
-from quasicross.intlinalg import bareiss_det, hnf_lower, reduce_mod_lattice
+from quasicross.intlinalg import _mix, bareiss_det, hnf_lower, kernel_hnf, reduce_mod_lattice, xgcd
 from quasicross.lattice import GEOMETRIC_CHECK_MAX_VOLUME, GeometricReport, lattice_to_json
-from quasicross.splitting import Collision, PackingCheck, _scan_products
+from quasicross.splitting import Collision, PackingCheck, _scan_products, verify_packing
 
 import oracles
 
@@ -144,6 +145,127 @@ def test_reduction_keys_agree_with_membership_oracle(rows, data):
     assert (keys[2] == 0) == oracles.in_row_lattice(rows, diff)
 
 
+def per_row_kernel_hnf(vectors, moduli):
+    """The kernel HNF one row at a time: the reference for `kernel_hnf`.
+    Row i's pivot t is the order of v_i modulo the subgroup H of the
+    earlier vectors, kept as a lower-triangular basis `gens` of its
+    preimage in Z^k with `combos` expressing it over the pivot vectors."""
+    k = len(moduli)
+    gens = [[d if c == r else 0 for c in range(k)] for r, d in enumerate(moduli)]
+    combos = [{} for _ in range(k)]
+    pivots, rows = [], []
+    for i, v in enumerate(vectors):
+        t, rest, coef = 1, list(v), [0] * k
+        for c in range(k - 1, -1, -1):
+            d = gens[c][c]
+            f = d // gcd(rest[c], d)
+            if f != 1:
+                t *= f
+                rest = [f * x for x in rest]
+                coef = [f * x for x in coef]
+            coef[c] = rest[c] // d
+            if coef[c]:
+                rest = [x - coef[c] * y for x, y in zip(rest, gens[c])]
+        row = {}
+        for c in range(k):
+            for j, a in combos[c].items():
+                row[j] = row.get(j, 0) - coef[c] * a
+        for j, pivot, prow in reversed(pivots):
+            q = row.get(j, 0) // pivot
+            if q:
+                for jj, h in prow:
+                    row[jj] = row.get(jj, 0) - q * h
+        sparse = tuple((j, row[j]) for j in sorted(row) if row[j]) + ((i, t),)
+        rows.append(sparse)
+        if t == 1:
+            continue
+        pivots.append((i, t, sparse))
+        new, combo = list(v), {i: 1}
+        for c in range(k - 1, -1, -1):
+            if new[c]:
+                g, u, w = xgcd(gens[c][c], new[c])
+                fa, fb = gens[c][c] // g, new[c] // g
+                gens[c], new = (
+                    [u * x + w * y for x, y in zip(gens[c], new)],
+                    [fa * y - fb * x for x, y in zip(gens[c], new)],
+                )
+                combos[c], combo = _mix(u, combos[c], w, combo), _mix(-fb, combos[c], fa, combo)
+    return rows
+
+
+@st.composite
+def late_pivot_vectors(draw):
+    """Vectors over a small group, each drawn at random or made as an
+    integer combination of the earlier ones (so it lies in their span),
+    such that some pivot above 1 comes after a row with pivot 1."""
+    orders = tuple(draw(st.lists(st.integers(2, 12), min_size=1, max_size=3)))
+    vectors = []
+    for _ in range(draw(st.integers(2, 9))):
+        if vectors and draw(st.booleans()):
+            coeffs = [draw(st.integers(-3, 3)) for _ in vectors]
+            vectors.append(tuple(sum(c * v[j] for c, v in zip(coeffs, vectors)) % d for j, d in enumerate(orders)))
+        else:
+            vectors.append(tuple(draw(st.integers(0, d - 1)) for d in orders))
+    pivots = [row[-1][1] for row in per_row_kernel_hnf(vectors, orders)]
+    assume(any(t > 1 for t in pivots[pivots.index(1) + 1:]) if 1 in pivots else False)
+    return orders, vectors
+
+
+def dense(rows, n):
+    return [[dict(row).get(j, 0) for j in range(n)] for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(late_pivot_vectors())
+@example(((4, 6), [(0, 0), (2, 3), (1, 0), (0, 4), (1, 1)]))
+def test_kernel_hnf_runs_match_the_per_row_reference(case):
+    orders, vectors = case
+    rows = kernel_hnf(vectors, orders)
+    assert rows == per_row_kernel_hnf(vectors, orders)
+    assert oracles.is_kernel_hnf(orders, vectors, dense(rows, len(vectors)))
+
+
+@st.composite
+def hnfs_with_late_pivots(draw):
+    """Dense lower HNFs with two or three pivots above 1 in rows other
+    than the first, and entries only in the columns of those pivots."""
+    n = draw(st.integers(3, 7))
+    late = draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=3, unique=True))
+    diagonal = [draw(st.integers(1, 5))] + [draw(st.integers(2, 9)) if i in late else 1 for i in range(1, n)]
+    return [
+        [draw(st.integers(0, diagonal[j] - 1)) for j in range(i)] + [diagonal[i]] + [0] * (n - 1 - i)
+        for i in range(n)
+    ]
+
+
+def dense_coset_index(hnf, vec) -> int:
+    """The representative of vec in the box prod([0, pivot_i)), one row of
+    the dense HNF at a time, read as a mixed-radix number."""
+    x = list(vec)
+    for i in range(len(hnf) - 1, -1, -1):
+        q = x[i] // hnf[i][i]
+        x = [a - q * h for a, h in zip(x, hnf[i])]
+    index = 0
+    for i, r in enumerate(x):
+        index = index * hnf[i][i] + r
+    return index
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnfs_with_late_pivots(), st.data())
+def test_reduction_with_late_pivots_matches_the_dense_rows(hnf, data):
+    assert oracles.is_lower_hnf(hnf)
+    n = len(hnf)
+    vectors = data.draw(st.lists(st.lists(st.integers(-40, 40), min_size=n, max_size=n), min_size=1, max_size=6))
+    columns = {j: {b: vec[j] for b, vec in enumerate(vectors) if vec[j]} for j in range(n)}
+    sparse = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in hnf)
+    index = reduce_mod_lattice(sparse, columns)
+    keys = [index.get(b, 0) for b in range(len(vectors))]
+    assert keys == [dense_coset_index(hnf, vec) for vec in vectors]
+    for b, vec in enumerate(vectors):
+        assert (keys[b] == keys[0]) == oracles.in_row_lattice(hnf, [x - y for x, y in zip(vec, vectors[0])])
+
+
 def dense_geometric_check(sp: Splitting) -> GeometricReport:
     """The check over the dense rows of the kernel HNF, which
     `test_sparse_kernel_matches_dense_reference` pins to its definition."""
@@ -200,6 +322,15 @@ def test_geometric_check_matches_dense_on_constructions(sp):
 @given(splittings())
 def test_geometric_check_matches_dense_on_random_splittings(sp):
     assert geometric_check(sp) == dense_geometric_check(sp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(splittings())
+def test_geometric_check_matches_dense_on_random_non_packings(sp):
+    assume(not verify_packing(sp).ok)
+    report = geometric_check(sp)
+    assert report.verdict == "overlap"
+    assert report == dense_geometric_check(sp)  # the first overlap witness included
 
 
 def test_geometric_check_overlap_matches_dense():
@@ -261,6 +392,7 @@ def test_scan_matches_per_element_reference(sp):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(square_matrices(triangular=False), st.sampled_from(CONSTRUCTIONS)))
+@example([[0, 0, 0], [0, 0, 5], [4, 0, 0]])  # an all-zero row, and zeros before and after an entry
 def test_lattice_json_is_json_dumps_of_each_dense_row(case):
     lat = IntegerLattice(case) if isinstance(case, list) else lattice_from_splitting(case)
     expect = '{"basis": [' + ", ".join(json.dumps(r) for r in lat.basis) + "]}"

@@ -318,16 +318,33 @@ def test_search_rules_out_a_huge_order_before_allocating():
 
 
 def test_search_time_limit_holds_during_set_up():
-    # 64033 is prime and 3 | 64032, so the size test passes and the set-up
-    # would build about 500 MiB of masks before the first DFS node
-    proc = search_in_512_mib("--q", "64033", "--time-limit", "0.1")
-    err = b"error: search (2,1) over Z_64033 exceeded 0.1s\n"
+    # 28279 is prime and 3 | 28278, so the size test passes, and its masks,
+    # about 100 MB, are just within the budget; building them takes longer
+    # than the limit
+    proc = search_in_512_mib("--q", "28279", "--time-limit", "0.01")
+    err = b"error: search (2,1) over Z_28279 exceeded 0.01s\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err)
 
 
-def test_search_out_of_memory_exits_2_without_a_traceback():
+def test_search_refuses_an_order_whose_cover_masks_pass_the_budget():
+    # 64033 is prime and 3 | 64032, so the size test passes; its masks would
+    # take about 500 MB, and with no time limit they once filled the
+    # address space before the search exited with "out of memory"
+    start = time.monotonic()
     proc = search_in_512_mib("--q", "64033")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: out of memory\n")
+    assert time.monotonic() - start < 1
+    err = b"error: search over Z_64033 needs about 512528136 bytes of cover masks, more than 100000000\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err)
+    assert 64033**2 // 8 > search_mod.COVER_MASKS_MAX_BYTES >= 28279**2 // 8
+
+
+def test_search_memory_error_exits_2_without_a_traceback(capsys, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(search_mod, "_cover_blocks", out_of_memory)
+    assert main(["search", "--kplus", "2", "--kminus", "1", "--q", "16"]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 def test_search_results_satisfy_group_theorems():
