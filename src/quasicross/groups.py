@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import index
 
 Element = tuple[int, ...]
@@ -121,12 +121,6 @@ class FiniteAbelianGroup:
         if len(s) != len(self.orders):
             raise ValueError("element dimension mismatch")
         return tuple((m * x) % d for x, d in zip(s, self.orders))
-
-    def element_order(self, s: Element) -> int:
-        """Smallest t > 0 with t*s = 0."""
-        if len(s) != len(self.orders):
-            raise ValueError("element dimension mismatch")
-        return lcm(*(d // gcd(d, x) for x, d in zip(s, self.orders)))
 
     def elements(self):
         """Iterate all elements in lexicographic order (use on small groups)."""

@@ -17,13 +17,15 @@ that determinant.
 The pivot-1 fact: in a lower HNF every entry in the column of a pivot of
 1 is 0, as it must lie in [0, 1).  A kernel lattice of G has at most
 log2|G| pivots above 1, as they multiply to at most |G|; so every other
-row is e_i plus entries in those few columns, which `kernel_hnf` and
-`reduce_mod_lattice` treat as whole-list passes, one per such column.
+row is e_i plus entries in those few columns, and a batch of vectors is
+worked on in whole-list passes, one per such column.  `_fold` is the one
+xgcd row step, `_carry` the one reduction of those columns into the HNF
+box, and `pivot_projection` the one place the rows with pivot 1 enter.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, repeat
+from itertools import compress, count
 from math import gcd
 
 Matrix = list[list[int]]
@@ -76,6 +78,26 @@ def left_kernel(mat: Matrix) -> Matrix:
     return [u[i] for i in range(rank, nrows)]
 
 
+def _fold(a: list[int], b: list[int], c: int) -> tuple[list[int], list[int]]:
+    """The unimodular xgcd step at column c: rows a and b become a row
+    holding gcd(a[c], b[c]) at c and a row holding 0 there."""
+    g, u, v = xgcd(a[c], b[c])
+    fa, fb = a[c] // g, b[c] // g
+    return [u * x + v * y for x, y in zip(a, b)], [fa * y - fb * x for x, y in zip(a, b)]
+
+
+def _carry(rows, columns: dict[int, list[int]]) -> dict[int, list[int]]:
+    """Reduce a batch into the HNF box prod([0, pivot)): `columns` holds
+    one list per pivot column above 1 of the sparse HNF `rows`, in
+    ascending order, and is reduced in place, largest column first, each
+    column's quotients carried into the columns of its row."""
+    for p in reversed(columns):
+        q = [x // rows[p][-1][1] for x in columns[p]]
+        for j, h in rows[p]:
+            columns[j] = [x - h * y for x, y in zip(columns[j], q)]
+    return columns
+
+
 def hnf_lower(rows: Matrix) -> Matrix:
     """Lower-triangular Hermite normal form of a full-rank square matrix.
 
@@ -96,12 +118,7 @@ def hnf_lower(rows: Matrix) -> Matrix:
     for c in range(len(m) - 1, -1, -1):
         for r in range(c):
             if m[r][c]:
-                g, uu, vv = xgcd(m[c][c], m[r][c])
-                fa, fb = m[c][c] // g, m[r][c] // g
-                m[c], m[r] = (
-                    [(uu * x + vv * y) % mod for x, y in zip(m[c], m[r])],
-                    [(fa * y - fb * x) % mod for x, y in zip(m[c], m[r])],
-                )
+                m[c], m[r] = ([x % mod for x in row] for row in _fold(m[c], m[r], c))
         g, u, _ = xgcd(m[c][c], mod)
         m[c] = [u * x % mod for x in m[c]]
         m[c][c] = g
@@ -126,19 +143,21 @@ def kernel_hnf(vectors, moduli) -> list[SparseRow]:
     batch of whole-list passes over the vectors left (a sequence).
 
     H is kept as a lower-triangular basis `gens` of its preimage in Z^k,
-    which starts as diag(moduli); `combos[c]` records which combination of
-    the pivot columns' vectors produces `gens[c]` modulo the moduli.
+    which starts as diag(moduli).  Each row of `gens` carries, as trailing
+    entries, its combination of the vectors of the pivot columns above 1
+    modulo the moduli, so one `_fold` updates both parts.
     """
     k = len(moduli)
     gens = [[d if c == r else 0 for c in range(k)] for r, d in enumerate(moduli)]
-    combos: list[dict[int, int]] = [{} for _ in range(k)]
-    pivots: list[tuple[int, int, SparseRow]] = []  # (column, pivot, row), ascending
+    big: list[int] = []  # the columns with a pivot above 1, ascending
     rows: list[SparseRow] = []
     while len(rows) < len(vectors):
         # rest[c][b] = (t*v - sum coef[c'] * gens[c'])[c] for the b-th vector
-        # of the run; only the last one can leave H, so only its t is not 1
-        start, t, coef = len(rows), 1, {}
+        # of the run, with v 0 past column k (its entries at the pivot columns
+        # above 1); only the last one can leave H, so only its t is not 1
+        start, t = len(rows), 1
         rest = [list(col) for col in zip(*vectors[start:])]
+        rest += [[0] * len(rest[0]) for _ in big]
         for c in range(k - 1, -1, -1):
             d = gens[c][c]
             out = next(compress(count(), [x % d for x in rest[c]]), None)
@@ -146,20 +165,12 @@ def kernel_hnf(vectors, moduli) -> list[SparseRow]:
                 f = d // gcd(rest[c][out], d)
                 t = f * (t if out == len(rest[c]) - 1 else 1)
                 rest = [col[:out] + [f * col[out]] for col in rest]
-                coef = {j: col[:out] + [f * col[out]] for j, col in coef.items()}
-            coef[c] = [x // d for x in rest[c]]
-            for j in range(c):
-                if gens[c][j]:
-                    rest[j] = [x - gens[c][j] * a for x, a in zip(rest[j], coef[c])]
+            coef = [x // d for x in rest[c]]
+            for j, h in enumerate(gens[c]):
+                if h and j != c:  # column c is done: what is left there is 0
+                    rest[j] = [x - h * a for x, a in zip(rest[j], coef)]
+        entries = _carry(rows, dict(zip(big, rest[k:])))
         run = len(rest[0])
-        entries = {j: [0] * run for j, _, _ in pivots}
-        for c, col in coef.items():
-            for j, a in combos[c].items():
-                entries[j] = [x - a * y for x, y in zip(entries[j], col)]
-        for j, pivot, prow in reversed(pivots):
-            q = [x // pivot for x in entries[j]]
-            for jj, h in prow:
-                entries[jj] = [x - h * y for x, y in zip(entries[jj], q)]
         run_rows = [()] * run
         for j, col in entries.items():
             run_rows = [r + ((j, x),) if x else r for r, x in zip(run_rows, col)]
@@ -167,68 +178,49 @@ def kernel_hnf(vectors, moduli) -> list[SparseRow]:
         rows += [r + ((j, 1),) for j, r in enumerate(run_rows[:-1], start)] + [run_rows[-1] + ((i, t),)]
         if t == 1:
             continue
-        pivots.append((i, t, rows[-1]))
-        new, combo = list(vectors[i]), {i: 1}
+        big.append(i)
+        for row in gens:
+            row.append(0)
+        new = list(vectors[i]) + [0] * (len(big) - 1) + [1]
         for c in range(k - 1, -1, -1):
             if new[c]:
-                g, u, w = xgcd(gens[c][c], new[c])
-                fa, fb = gens[c][c] // g, new[c] // g
-                gens[c], new = (
-                    [u * x + w * y for x, y in zip(gens[c], new)],
-                    [fa * y - fb * x for x, y in zip(gens[c], new)],
-                )
-                combos[c], combo = _mix(u, combos[c], w, combo), _mix(-fb, combos[c], fa, combo)
+                gens[c], new = _fold(gens[c], new, c)
     return rows
 
 
-def _mix(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:
-    """The sparse combination a*x + b*y."""
-    out = {j: a * v for j, v in x.items()}
-    for j, v in y.items():
-        out[j] = out.get(j, 0) + b * v
-    return {j: v for j, v in out.items() if v}
+def pivot_projection(hnf) -> dict[int, list[int]]:
+    """For each pivot column p above 1 of a sparse lower HNF, ascending,
+    the entry at p of each e^c modulo the rows with pivot 1: by the
+    pivot-1 fact such a row c is e^c plus entries h in those columns, so
+    e^c is -h there, and e^p is itself.  A vector x projects to sum_c x_c
+    times these columns, which is all that is left of it."""
+    proj = {p: [0] * len(hnf) for p, row in enumerate(hnf) if row[-1][1] > 1}
+    for c, row in enumerate(hnf):
+        if c in proj:
+            proj[c][c] = 1
+        else:
+            for j, h in row[:-1]:
+                proj[j][c] = -h
+    return proj
 
 
-def reduce_mod_lattice(hnf, columns: dict[int, dict[int, int]]) -> dict[int, int]:
-    """Coset indices of a batch of sparse vectors modulo the lattice
-    spanned by sparse lower-triangular HNF rows.
+def reduce_mod_lattice(hnf, batch: dict[int, list[int]]) -> list[int]:
+    """Coset indices of a batch of vectors modulo the lattice spanned by
+    sparse lower-triangular HNF rows.
 
-    The batch comes column-wise, coordinate -> {vector id: value}, absent
-    entries 0.  A vector's canonical representative in the box
-    prod([0, pivot_i)), one point per coset, is returned as its index: the
-    mixed-radix number it reads as, coordinate 0 most significant.  Equal
-    cosets give equal indices and the lattice gets 0, as does any vector
-    id absent from `columns`.
-
-    By the pivot-1 fact (module docstring) a row with pivot 1 carries its
-    whole value into the pivot columns above 1, so all such rows move
-    there at once, one comprehension per pivot column; only those columns,
-    each a list over all vector ids, then divide and carry, largest first.
+    The batch comes projected (`pivot_projection`): one list per pivot
+    column above 1, ascending, of each vector's entry there.  A vector's
+    representative in the box prod([0, pivot_i)), one point per coset,
+    is returned as its index: the mixed-radix number it reads as,
+    coordinate 0 most significant, so the lattice gets 0.  With no pivot
+    above 1 the lattice is Z^n, the batch is empty, and so is the result.
     """
-    ids = list(dict.fromkeys(chain.from_iterable(columns.values())))
-    big = [i for i, row in enumerate(hnf) if row[-1][1] > 1]
-    unit = [(col, hnf[i][:-1]) for i, col in columns.items() if hnf[i][-1][1] == 1]
-    dense = {}
-    for p in big:
-        pairs = [*columns.get(p, {}).items()] + [
-            (v, -h * x) for col, row in unit for j, h in row if j == p for v, x in col.items()
-        ]
-        merged = dict(pairs)
-        if len(merged) < len(pairs):  # a vector with several coordinates: add its parts
-            merged = dict.fromkeys(merged, 0)
-            for v, x in pairs:
-                merged[v] += x
-        dense[p] = list(map(merged.get, ids, repeat(0)))
-    index, weight = [0] * len(ids), 1
-    for p in reversed(big):
+    columns = _carry(hnf, dict(batch))
+    index = [0] * len(next(iter(columns.values()), ()))
+    for p, col in columns.items():
         pivot = hnf[p][-1][1]
-        index = [a + x % pivot * weight for a, x in zip(index, dense[p])]
-        if len(hnf[p]) > 1:  # carry the quotients into the pivot columns left of p
-            q = [x // pivot for x in dense[p]]
-            for j, h in hnf[p][:-1]:
-                dense[j] = [x - h * y for x, y in zip(dense[j], q)]
-        weight *= pivot
-    return dict(zip(ids, index))
+        index = [a * pivot + x for a, x in zip(index, col)]
+    return index
 
 
 def bareiss_det(rows: Matrix) -> int:

@@ -12,7 +12,10 @@ sparse: in a lower HNF every entry in the column of a pivot of 1 is 0,
 as it must lie in [0, 1), and a kernel of G has at most log2|G| pivots
 above 1, so every other row is e_i plus entries in those few columns.
 Building, reducing and taking the determinant work on those columns in
-whole-list passes, and dense rows are made only for output.
+whole-list passes, and dense rows are made only for output.  A vector is
+reduced by its projection onto them (`intlinalg.pivot_projection`: the
+entry there of each e^c modulo the rows with pivot 1), one dot product
+per such column, then by `intlinalg.reduce_mod_lattice`.
 `geometric_check` re-derives the packing/tiling verdict purely from the
 lattice geometry (coset coverage on the quotient torus), independently of
 the product-table logic in `splitting`: one batch reduction gives every
@@ -25,11 +28,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
 from math import gcd, lcm, prod
+from operator import mul
 
 from .groups import integers
-from .intlinalg import SparseRow, hnf_lower, kernel_hnf, reduce_mod_lattice
+from .intlinalg import SparseRow, hnf_lower, kernel_hnf, pivot_projection, reduce_mod_lattice
 from .splitting import QuasiCrossShape, Splitting, json_int_list
 
 GEOMETRIC_CHECK_MAX_VOLUME = 100_000
@@ -74,16 +77,6 @@ class IntegerLattice:
                 out[j] = x
         return tuple(map(tuple, dense))
 
-    def is_hnf(self) -> bool:
-        pivots = []
-        for i, row in enumerate(self.rows):
-            if not row or row[-1][0] != i or row[-1][1] <= 0:
-                return False
-            if any(not 0 <= x < pivots[j] for j, x in row[:-1]):
-                return False
-            pivots.append(row[-1][1])
-        return True
-
     def hnf(self) -> IntegerLattice:
         """The same lattice in its canonical lower-triangular HNF, computed once."""
         return self._hnf
@@ -96,8 +89,9 @@ class IntegerLattice:
         vec = integers(vector, "vector entries")
         if len(vec) != self.n:
             raise ValueError("vector dimension mismatch")
-        batch = {j: {0: x} for j, x in enumerate(vec) if x}
-        return not reduce_mod_lattice(self.hnf().rows, batch).get(0)
+        hnf = self.hnf().rows
+        batch = {p: [sum(map(mul, col, vec))] for p, col in pivot_projection(hnf).items()}
+        return not any(reduce_mod_lattice(hnf, batch))
 
 
 def _sparse(dense) -> tuple[SparseRow, ...]:
@@ -165,12 +159,13 @@ def geometric_check(sp: Splitting, lat: IntegerLattice | None = None) -> Geometr
     of the quasi-cross at the origin its coset index modulo the lattice;
     the crosses at all lattice points are disjoint iff these indices are
     pairwise distinct, and tile iff additionally every coset is hit.  A
-    cell is a sparse vector m*e_i, so the batch touches only the nonzero
-    columns of the HNF and the check costs O(volume * nonzeros per row).
+    cell is m*e_i, whose projection is m times entry i of each column of
+    `intlinalg.pivot_projection`, so the check costs O(volume * pivots
+    above 1); with none the lattice is Z^n and every cell hits the center.
     The overlap witness is the first cell in (i, m) order whose coset an
     earlier cell holds.  Guarded to cross volumes <= GEOMETRIC_CHECK_MAX_VOLUME.
     `lat`, when the caller already has it, is `lattice_from_splitting(sp)`;
-    the number of cosets is the product of the HNF diagonal.
+    the number of cosets is its `determinant`.
 
     The verdict matches verify_packing/is_tiling whenever the splitters
     generate the group.  When they generate a proper subgroup the
@@ -188,10 +183,8 @@ def geometric_check(sp: Splitting, lat: IntegerLattice | None = None) -> Geometr
     hnf = lat.hnf().rows
     ms = sp.multipliers.elements
     span = len(ms)  # cell v = span*i + a is the vector ms[a]*e_i
-    ids = count()
-    columns = {i: {next(ids): m for m in ms} for i in range(sp.n)}
-    index = reduce_mod_lattice(hnf, columns)
-    keys = list(map(index.__getitem__, range(span * sp.n)))
+    batch = {p: [m * x for x in col for m in ms] for p, col in pivot_projection(hnf).items()}
+    keys = reduce_mod_lattice(hnf, batch) or [0] * (span * sp.n)  # no pivot above 1: Z^n
     if len({0, *keys}) <= len(keys):  # an overlap: walk to the first one
         seen: dict[int, tuple[int, int] | None] = {0: None}
         for v, key in enumerate(keys):
@@ -199,7 +192,7 @@ def geometric_check(sp: Splitting, lat: IntegerLattice | None = None) -> Geometr
             if key in seen:
                 return GeometricReport("overlap", 0, (seen[key], cell))
             seen[key] = cell
-    uncovered = prod(row[-1][1] for row in hnf) - 1 - len(keys)
+    uncovered = determinant(lat) - 1 - len(keys)
     return GeometricReport("tiling" if uncovered == 0 else "packing", uncovered)
 
 

@@ -22,6 +22,8 @@ from math import gcd
 
 from .groups import Element, FiniteAbelianGroup, cyclic_group, integers, prime_factors
 
+SCAN_MAX_PRODUCTS = 500_000  # at 100-200 B each, about 100 MB
+
 
 @dataclass(frozen=True)
 class MultiplierSet:
@@ -161,7 +163,11 @@ def _scan_products(sp: Splitting):
     n*|M| products are made at once, one cyclic factor (column) at a time,
     and keyed in (i, m) order; only a table shorter than the products or
     holding 0 walks them again, to the first collision and the table
-    before it."""
+    before it.  More than SCAN_MAX_PRODUCTS products are refused before
+    any is made."""
+    products = sp.n * (sp.multipliers.k_plus + sp.multipliers.k_minus)
+    if products > SCAN_MAX_PRODUCTS:
+        raise ValueError(f"the product scan needs {products} products, more than {SCAN_MAX_PRODUCTS}")
     g = sp.group
     ms = sp.multipliers.elements
     columns = [[m * x % d for x in col for m in ms] for col, d in zip(zip(*sp.splitters), g.orders)]

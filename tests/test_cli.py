@@ -4,14 +4,16 @@ import io
 import json
 import os
 import signal
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasicross import from_json, to_json, make_cyclic_splitting
+from quasicross import cyclic_splitting, from_json, to_json, make_cyclic_splitting
 from quasicross import search as search_mod
+from quasicross import splitting as split_mod
 from quasicross.cli import build_parser, main
 
 
@@ -348,6 +350,27 @@ def test_missing_or_extra_input_exits_2_with_one_error_line(capsys, tmp_path, z1
     assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "HUGE"], ["lattice", "HUGE"], ["decode", "--code", "HUGE", "--levels", "4000000007", "--word", "1"]],
+    ids=["verify", "lattice", "decode"],
+)
+def test_huge_arms_are_refused_before_the_scan_allocates(capsys, tmp_path, argv):
+    # 10^9 products: the scan used to build them all and then run out of memory
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"orders": [4000000007], "k_plus": 1000000000, "k_minus": 1, "splitters": [[1]]}')
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *[str(huge) if a == "HUGE" else a for a in argv])
+    assert time.perf_counter() - start < 1.0
+    limit = split_mod.SCAN_MAX_PRODUCTS
+    assert (code, out, err) == (2, "", f"error: the product scan needs 1000000001 products, more than {limit}\n")
+
+
+def test_scan_limit_admits_the_largest_constructions():
+    # the (3,1) tiling of Z_390625 makes 390,624 products and is verified as it is built
+    assert cyclic_splitting(5, 8, 3, 1).n * 4 == 390_624 <= split_mod.SCAN_MAX_PRODUCTS
+
+
 def test_plot_budget_refuses_before_drawing(capsys, monkeypatch, tmp_path):
     from quasicross import lattice
 
@@ -495,9 +518,11 @@ def test_fuzzed_input_files_exit_0_1_or_2_without_a_traceback(tmp_path_factory, 
 
 
 def test_verify_of_arms_past_2_63_exits_2(capsys, tmp_path):
-    # building the multiplier tuple raised OverflowError out of `main`
+    # building the multiplier tuple raised OverflowError out of `main`; the
+    # scan's product limit now refuses these arms before the tuple is built
     path = tmp_path / "big.json"
     path.write_text(BIG_ARMS, encoding="utf-8")
+    products = 2 * (10**30 + 2)
     assert run_cli(capsys, "verify", str(path)) == (
-        2, "", "error: Python int too large to convert to C ssize_t\n"
+        2, "", f"error: the product scan needs {products} products, more than {split_mod.SCAN_MAX_PRODUCTS}\n"
     )

@@ -35,7 +35,7 @@ from quasicross import (
     two_one_splitting,
 )
 from quasicross.codec import SyndromeTable
-from quasicross.intlinalg import _mix, bareiss_det, hnf_lower, kernel_hnf, reduce_mod_lattice, xgcd
+from quasicross.intlinalg import bareiss_det, hnf_lower, kernel_hnf, pivot_projection, reduce_mod_lattice, xgcd
 from quasicross.lattice import GEOMETRIC_CHECK_MAX_VOLUME, GeometricReport, lattice_to_json
 from quasicross.splitting import Collision, PackingCheck, _scan_products, verify_packing
 
@@ -117,7 +117,15 @@ def test_hnf_of_a_scrambled_kernel_basis_is_the_kernel_hnf(sp, data):
 def test_sparse_kernel_matches_dense_reference(sp):
     lat = lattice_from_splitting(sp)
     assert oracles.is_kernel_hnf(sp.group.orders, sp.splitters, lat.basis)
-    assert lat.is_hnf()
+    assert oracles.is_lower_hnf(lat.basis)
+
+
+def coset_indices(hnf, vectors) -> list[int]:
+    """`reduce_mod_lattice` of the vectors, each projected onto the pivot
+    columns above 1 by one dot product per column; a lattice with no such
+    column is Z^n, every index 0."""
+    batch = {p: [sum(x * y for x, y in zip(col, vec)) for vec in vectors] for p, col in pivot_projection(hnf).items()}
+    return reduce_mod_lattice(hnf, batch) or [0] * len(vectors)
 
 
 @settings(max_examples=200, deadline=None)
@@ -130,19 +138,22 @@ def test_reduction_keys_agree_with_membership_oracle(rows, data):
     u, v = data.draw(vectors), data.draw(vectors)
     diff = [a - b for a, b in zip(u, v)]
     batch = (u, v, diff)
-    columns = {j: {b: vec[j] for b, vec in enumerate(batch) if vec[j]} for j in range(n)}
-    given_columns = {j: dict(col) for j, col in columns.items()}
-    index = reduce_mod_lattice(hnf.rows, columns)
-    assert columns == given_columns  # the batch is read, not consumed
-    keys = [index.get(b, 0) for b in range(len(batch))]
+    projected = {p: [sum(x * y for x, y in zip(col, vec)) for vec in batch] for p, col in pivot_projection(hnf.rows).items()}
+    given_projected = {p: list(col) for p, col in projected.items()}
+    keys = reduce_mod_lattice(hnf.rows, projected) or [0] * len(batch)
+    assert projected == given_projected  # the batch is read, not consumed
     assert all(0 <= key < det for key in keys)
-    alone = [
-        reduce_mod_lattice(hnf.rows, {j: {0: x} for j, x in enumerate(vec) if x}).get(0, 0)
-        for vec in batch
-    ]
-    assert keys == alone
+    assert keys == [coset_indices(hnf.rows, [vec])[0] for vec in batch]
     assert (keys[0] == keys[1]) == oracles.in_row_lattice(rows, diff)
     assert (keys[2] == 0) == oracles.in_row_lattice(rows, diff)
+
+
+def _mix(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:
+    """The sparse combination a*x + b*y."""
+    out = {j: a * v for j, v in x.items()}
+    for j, v in y.items():
+        out[j] = out.get(j, 0) + b * v
+    return {j: v for j, v in out.items() if v}
 
 
 def per_row_kernel_hnf(vectors, moduli):
@@ -257,10 +268,8 @@ def test_reduction_with_late_pivots_matches_the_dense_rows(hnf, data):
     assert oracles.is_lower_hnf(hnf)
     n = len(hnf)
     vectors = data.draw(st.lists(st.lists(st.integers(-40, 40), min_size=n, max_size=n), min_size=1, max_size=6))
-    columns = {j: {b: vec[j] for b, vec in enumerate(vectors) if vec[j]} for j in range(n)}
     sparse = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in hnf)
-    index = reduce_mod_lattice(sparse, columns)
-    keys = [index.get(b, 0) for b in range(len(vectors))]
+    keys = coset_indices(sparse, vectors)
     assert keys == [dense_coset_index(hnf, vec) for vec in vectors]
     for b, vec in enumerate(vectors):
         assert (keys[b] == keys[0]) == oracles.in_row_lattice(hnf, [x - y for x, y in zip(vec, vectors[0])])
@@ -310,6 +319,11 @@ CONSTRUCTIONS = (
     balance_family(2, 3, 1).splitting,
     balance_family(1, 3, 5).splitting,
 )
+
+
+@pytest.mark.parametrize("sp", CONSTRUCTIONS, ids=lambda sp: f"{sp.group}-n{sp.n}")
+def test_kernel_hnf_matches_the_per_row_reference_on_constructions(sp):
+    assert kernel_hnf(sp.splitters, sp.group.orders) == per_row_kernel_hnf(sp.splitters, sp.group.orders)
 
 
 @pytest.mark.parametrize("sp", CONSTRUCTIONS, ids=lambda sp: f"{sp.group}-n{sp.n}")

@@ -249,8 +249,17 @@ def test_geometric_check_counts_cosets_of_any_basis_of_the_lattice():
     sp = make_cyclic_splitting(17, 3, 2, [1, 13])
     (a, b), (c, d) = lattice_from_splitting(sp).basis
     other = IntegerLattice(((a + 3 * c, b + 3 * d), (2 * a + 7 * c, 2 * b + 7 * d)))  # det 1 change
-    assert not other.is_hnf()
+    assert not oracles.is_lower_hnf(other.basis)
     assert geometric_check(sp, other) == geometric_check(sp) == GeometricReport("packing", 6)
+
+
+def test_lattice_with_no_pivot_above_1_is_all_of_z_n():
+    # the lone splitter 0 of Z_5: the kernel is Z, every cell lands on the center
+    sp = make_cyclic_splitting(5, 2, 1, [0])
+    assert lattice_from_splitting(sp).basis == ((1,),)
+    assert geometric_check(sp) == GeometricReport("overlap", 0, (None, (0, -1)))
+    assert IntegerLattice([[1]]).contains([7])
+    assert IntegerLattice([[1, 0], [5, 1]]).contains([-3, 4])
 
 
 def test_geometric_check_overlap_witness():
