@@ -8,10 +8,10 @@ Z_v^k, which `mixed_splitting` applies to the cyclic one.
 `two_one_splitting` tiles Z_{4^l} for arms (2, 1), and `balance_family`
 gives arbitrarily large dimensions at any fixed arm ratio below 1.
 
-Every constructor re-verifies its output with one scan of the product
-table, which decides both the packing and whether it tiles; a
-construction that fails its own verification is an internal fault, not
-a user error.  The two moves never scan.
+Each constructor counts its products from its arguments and refuses a
+scan over the limit before it builds.  It re-verifies its output with one
+scan of the product table, deciding the packing and whether it tiles;
+failing that is an internal fault, not a user error.  The moves never scan.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .groups import FiniteAbelianGroup, integers, is_prime
 from .splitting import (
     MultiplierSet,
     Splitting,
+    check_scan_size,
     make_cyclic_splitting,
     verify_packing,
 )
@@ -43,6 +44,7 @@ def _check_arms(p: int, ell: int, k_plus: int, k_minus: int) -> tuple[int, int, 
         )
     if ell < 1:
         raise ValueError("ell must be >= 1")
+    check_scan_size(p**ell - 1)  # a tiling of a group of order p^ell
     return p, ell, arms
 
 
@@ -112,6 +114,7 @@ def two_one_splitting(ell: int) -> Splitting:
     [ell] = integers([ell], "ell")
     if ell < 1:
         raise ValueError("ell must be >= 1")
+    check_scan_size(4**ell - 1)
     level = [1]
     for i in range(1, ell):
         modulus = 4 ** (i + 1)
@@ -143,7 +146,8 @@ def matrix_extension(base: Splitting, k: int) -> Splitting:
                 "the matrix extension does not produce a packing"
             )
     sp = base
-    if k > 1:
+    if k > 1:  # k copies hold n*(v^k - 1)/(v - 1) splitters
+        check_scan_size(base.n * len(base.multipliers) * (v**k - 1) // (v - 1))
         orders, columns = reduce(_product, [(base.group.orders, base.splitters)] * k)
         sp = Splitting(FiniteAbelianGroup(orders), base.multipliers, tuple(columns))
     if not verify_packing(sp).ok:

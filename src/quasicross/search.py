@@ -25,6 +25,12 @@ nonzero residues.  The covered residues and the still-live splitters
   most-constrained-first rule from "Dancing Links".  A residue with no
   live candidate ends the branch at once, and since every residue must
   be covered, branching on any one of them loses no solution.
+* A covered set whose subtree held no cover is never walked again, the
+  memo of exact-cover search.  In the search of C_d the live splitters
+  of C_d are those whose blocks miss the covered set (each choice,
+  block(1) first, drops the ones meeting its block), and only they hold
+  residues of C_d: a subtree depends on its covered set alone.  In (2,1),
+  4 | q, {x, -x+q/2} and {-x, x+q/2} cover the same six residues.
 
 The set-up before the search rests on three facts.  Write M for the
 multipliers, the nonzero integers in [-k_minus, k_plus], span =
@@ -204,6 +210,7 @@ def search_tilings(
     # divides the class sizes, which sum to q-1, so ord(1) = q > span.
     chosen: list[int] = []
     covers: list[list[tuple[int, ...]]] = []  # per class, its covers
+    dead: set[int] = set()  # covered sets whose subtrees hold no cover
 
     @cache
     def placed(s: int) -> tuple[int, int]:
@@ -217,6 +224,8 @@ def search_tilings(
     def dfs(covered: int, live: int) -> bool:
         # live: the splitters whose blocks are disjoint from covered
         check_clock()
+        if covered in dead:
+            return False
         if covered == full:
             covers[-1].append(tuple(chosen))
             return not find_all
@@ -232,6 +241,7 @@ def search_tilings(
                 if count < 2:
                     break
             rem ^= low
+        found = len(covers[-1])
         while best:
             low = best & -best
             s = low.bit_length() - 1
@@ -242,6 +252,8 @@ def search_tilings(
             if stop:
                 return True
             best ^= low
+        if len(covers[-1]) == found:
+            dead.add(covered)
         return False
 
     block, spared = placed(1)

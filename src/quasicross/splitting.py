@@ -158,6 +158,12 @@ def make_cyclic_splitting(q: int, k_plus: int, k_minus: int, splitters) -> Split
     return Splitting(g, MultiplierSet(k_plus, k_minus), tuple((s,) for s in splitters))
 
 
+def check_scan_size(products: int) -> None:
+    """Refuse a scan of more than SCAN_MAX_PRODUCTS products."""
+    if products > SCAN_MAX_PRODUCTS:
+        raise ValueError(f"the product scan needs {products} products, more than {SCAN_MAX_PRODUCTS}")
+
+
 def _scan_products(sp: Splitting):
     """The check and the table m*s_i -> (i, m) built on the way.  All
     n*|M| products are made at once, one cyclic factor (column) at a time,
@@ -165,9 +171,7 @@ def _scan_products(sp: Splitting):
     holding 0 walks them again, to the first collision and the table
     before it.  More than SCAN_MAX_PRODUCTS products are refused before
     any is made."""
-    products = sp.n * (sp.multipliers.k_plus + sp.multipliers.k_minus)
-    if products > SCAN_MAX_PRODUCTS:
-        raise ValueError(f"the product scan needs {products} products, more than {SCAN_MAX_PRODUCTS}")
+    check_scan_size(sp.n * (sp.multipliers.k_plus + sp.multipliers.k_minus))
     g = sp.group
     ms = sp.multipliers.elements
     columns = [[m * x % d for x in col for m in ms] for col, d in zip(zip(*sp.splitters), g.orders)]

@@ -16,6 +16,8 @@ from quasicross import search as search_mod
 from quasicross import splitting as split_mod
 from quasicross.cli import build_parser, main
 
+from capped import cli_in_512_mib
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -364,6 +366,26 @@ def test_huge_arms_are_refused_before_the_scan_allocates(capsys, tmp_path, argv)
     assert time.perf_counter() - start < 1.0
     limit = split_mod.SCAN_MAX_PRODUCTS
     assert (code, out, err) == (2, "", f"error: the product scan needs 1000000001 products, more than {limit}\n")
+
+
+OVERSIZED = {
+    "cyclic": (["cyclic", "--p", "5", "--ell", "12", "--kplus", "3", "--kminus", "1"], 5**12 - 1),
+    "field": (["field", "--p", "5", "--ell", "12", "--kplus", "3", "--kminus", "1"], 5**12 - 1),
+    "two-one": (["two-one", "--ell", "12"], 4**12 - 1),
+    "mixed": (["mixed", "--p", "5", "--ell", "6", "--kplus", "3", "--kminus", "1", "--k", "2"], 5**12 - 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OVERSIZED))
+def test_oversized_constructions_are_refused_before_they_allocate(kind):
+    # each built its splitters before the scan refused them, and under a
+    # 1 GB cap ran out of memory first; a tiling has |G| - 1 products
+    argv, products = OVERSIZED[kind]
+    start = time.monotonic()
+    proc = cli_in_512_mib("construct", *argv)
+    assert time.monotonic() - start < 10
+    err = f"error: the product scan needs {products} products, more than {split_mod.SCAN_MAX_PRODUCTS}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", err)
 
 
 def test_scan_limit_admits_the_largest_constructions():

@@ -42,6 +42,21 @@ def test_each_construction_scans_its_products_once(scans, build, expected):
     assert scans[-1] is sp
 
 
+def test_constructions_count_their_products_before_they_build(monkeypatch):
+    base = cyclic_splitting(5, 6, 3, 1)
+
+    def built(*args):
+        raise AssertionError("built before the product count was checked")
+
+    for move in ("_lift", "_product", "make_cyclic_splitting"):
+        monkeypatch.setattr(constructions, move, built)
+    refused = "the product scan needs 244140624 products, more than 500000"
+    for build in (lambda: cyclic_splitting(5, 12, 3, 1), lambda: field_splitting(5, 12, 3, 1),
+                  lambda: matrix_extension(base, 2)):
+        with pytest.raises(ValueError, match=refused):
+            build()
+
+
 def test_cyclic_splitting_p5_l2():
     sp = cyclic_splitting(5, 2, 3, 1)
     assert sp.splitter_values() == (1, 5, 6, 11, 16, 21)

@@ -4,10 +4,10 @@ a non-triangular `--lattice` input, and of `encode` and `decode` (text
 and JSON; a corrected, a clean and an uncorrectable word) on a code of
 every kind; also of `bounds` (`--n` and `--q`, text and JSON, ruled-out
 and open), `search` (text, JSON, `--raw`, `--first`, both) and the unpruned
-survey CSV, on a small grid and on the default one.  The digests pin the
-exact output, so a change to how the kernel lattice is stored or
-reduced, how the codec computes, or how a construction, rule or search
-result is assembled cannot alter what users see."""
+survey CSV, on a small grid, the default one and the one to q = 200.
+The digests pin the exact output, so a change to how the kernel lattice
+is stored or reduced, how the codec computes, or how a construction,
+rule or search result is assembled cannot alter what users see."""
 
 from __future__ import annotations
 
@@ -171,6 +171,7 @@ GOLDEN = {
     ('search', 'none'): "25960863a628eafa01572aaf47ba8ed53e3a9e43c95c99676bb539da654fe53e",
     ('survey', 'no-prune-kmax4-qmax40'): "3766105b823b3dd5447a261459d5c1a98984e43fca0f75d7c14db74ff7223a24",
     ('survey', 'no-prune-kmax10-qmax100'): "a493affda1ad5c08d077b38f70495093da4d30d32d09e92c26d3cecbcd350afa",
+    ('survey', 'no-prune-kmax10-qmax200'): "63c17259e0d31a54c54b97146823187844e4c945a5d901afda0c90c8558f95ee",
 }
 
 
@@ -329,3 +330,13 @@ def test_golden_survey_csv_bytes_default_grid():
     # nonexistence results rest on
     out = _stdout(["survey", "--no-prune"])
     assert _digest(out) == GOLDEN[("survey", "no-prune-kmax10-qmax100")]
+
+
+def test_golden_survey_csv_bytes_to_q200():
+    # 896 instances, among them the singular (2,1,148), (2,1,172) and
+    # (2,1,196) that once took from 5 s to a minute each
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["survey", "--no-prune", "--qmax", "200", "--time-limit", "5"]) == 0
+    assert _digest(out.getvalue()) == GOLDEN[("survey", "no-prune-kmax10-qmax200")]
+    assert "  no instance is both ruled out and tiled (rules consistent)\n" in err.getvalue()

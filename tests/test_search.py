@@ -35,6 +35,7 @@ from quasicross.search import survey_instances
 from quasicross.splitting import MultiplierSet, Singularity
 
 import oracles
+from capped import cli_in_512_mib
 
 
 def test_search_21_q16_single_orbit():
@@ -230,6 +231,16 @@ def test_orbit_min_builds_each_orbit_once(monkeypatch):
     assert len(scaled_from) == 64  # one set of each orbit is scaled
 
 
+# singular instances (a prime of q at most k_plus), where many choice
+# orders reach one covered set and the search skips the dead ones
+SINGULAR = [(2, 1, q) for q in range(4, 65, 4)] + [(4, 1, 16), (3, 2, 16)]
+
+
+@pytest.mark.parametrize("k_plus,k_minus,q", SINGULAR)
+def test_search_matches_the_reference_on_singular_instances(k_plus, k_minus, q):
+    assert_matches_reference(k_plus, k_minus, q)
+
+
 @pytest.mark.parametrize("k_plus,k_minus,q", [(3, 1, 25), (4, 2, 49), (5, 1, 49), (2, 1, 76), (2, 1, 100)])
 def test_search_matches_the_reference_across_classes(k_plus, k_minus, q):
     _, sizes = search_mod._class_sizes(q, k_plus)
@@ -245,6 +256,16 @@ UNDECIDED_AT_30S = [(3, 1, 181), (3, 1, 193), (3, 1, 197), (4, 2, 199), (3, 1, 1
 @pytest.mark.parametrize("k_plus,k_minus,q", UNDECIDED_AT_30S)
 def test_search_decides_former_timeouts_without_a_tiling(k_plus, k_minus, q):
     assert search_tilings(k_plus, k_minus, q, time_limit=30) == []
+
+
+# singular instances with no tiling that once took from 5 s to a minute
+# each, walking every choice order of the same dead covered sets
+@pytest.mark.parametrize(
+    "k_plus,k_minus,q,find_all",
+    [(2, 1, 148, True), (2, 1, 172, True), (2, 1, 196, True), (2, 1, 172, False), (3, 2, 246, False)],
+)
+def test_search_decides_singular_instances_without_a_tiling(k_plus, k_minus, q, find_all):
+    assert search_tilings(k_plus, k_minus, q, find_all=find_all, time_limit=5) == []
 
 
 def test_search_31_q173_is_the_fourth_power_residues():
@@ -296,18 +317,9 @@ def test_nan_time_limit_and_jobs_below_1_exit_2_before_any_search(capsys, monkey
 
 
 def search_in_512_mib(*flags: str) -> subprocess.CompletedProcess:
-    """`search --kplus 2 --kminus 1` with `flags`, run in a child whose
-    address space is capped at 512 MiB, so that a regression cannot take
-    the machine's memory."""
-    import resource
-
-    limit = 512 << 20
-    env = dict(os.environ, PYTHONPATH=str(Path(search_mod.__file__).parents[1]))
-    argv = ["search", "--kplus", "2", "--kminus", "1", *flags]
-    return subprocess.run(
-        [sys.executable, "-m", "quasicross", *argv], env=env, capture_output=True, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    """`search --kplus 2 --kminus 1` with `flags`, under a 512 MiB cap, so
+    that a regression cannot take the machine's memory."""
+    return cli_in_512_mib("search", "--kplus", "2", "--kminus", "1", *flags)
 
 
 def test_search_rules_out_a_huge_order_before_allocating():
