@@ -194,21 +194,20 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _load_code(args) -> codec_mod.CodeSpec:
-    sp = _read_splitting(args.code)
-    return codec_mod.make_code(sp, args.levels)
-
-
 def _cmd_encode(args) -> int:
-    cs = _load_code(args)
+    cs = codec_mod.make_code(_read_splitting(args.code), args.levels)
     word = codec_mod.encode(cs, args.info, args.t if args.t is not None else 0)
     print(" ".join(str(x) for x in word))
     return EXIT_OK
 
 
 def _cmd_decode(args) -> int:
-    cs = _load_code(args)
-    result = codec_mod.decode(cs, args.word)
+    cs = codec_mod.make_code(_read_splitting(args.code), args.levels)
+    try:
+        result = codec_mod.decode(cs, args.word)
+    except codec_mod.NotAPacking as exc:
+        print(f"not a packing: collision {exc.collision.describe()}", file=sys.stderr)
+        return EXIT_NEGATIVE
     if result.uncorrectable:
         _emit(args, ["uncorrectable"], {"status": "uncorrectable"})
         return EXIT_NEGATIVE
@@ -338,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plt.add_argument("--out", help="output SVG path (default stdout)")
     p_plt.set_defaults(func=_cmd_plot)
 
+    parser.commands = sub.choices  # name -> its subparser, for `main`
     return parser
 
 
@@ -350,7 +350,14 @@ def _interrupt(signum, frame):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no command, -h or an unknown one: the top level reports it
+        args = parser.parse_args(argv)
+    else:  # the top level would hand argv[1:] to this parser, after a pass of its own
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     previous = signal.signal(signal.SIGINT, _interrupt)
     try:
         return args.func(args)

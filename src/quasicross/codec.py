@@ -28,16 +28,22 @@ from .groups import Element, integers
 from .splitting import Splitting, _scan_products
 
 
+class NotAPacking(RuntimeError):
+    """A syndrome table asked of a non-packing; carries the scan's first collision."""
+
+    def __init__(self, collision):
+        super().__init__(f"syndrome table over a non-packing: {collision.describe()}")
+        self.collision = collision
+
+
 class SyndromeTable:
     """Immutable-by-convention map from m*s_i to (coordinate i, magnitude m):
-    the table the product scan builds."""
+    the table the product scan builds.  Raises NotAPacking on a non-packing."""
 
     def __init__(self, splitting: Splitting):
         check, entries = _scan_products(splitting)
         if not check.ok:
-            raise RuntimeError(
-                f"syndrome table over a non-packing: {check.collision.describe()}"
-            )
+            raise NotAPacking(check.collision)
         self.entries: dict[Element, tuple[int, int]] = entries
 
     def __len__(self) -> int:

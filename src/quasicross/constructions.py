@@ -44,7 +44,7 @@ def _check_arms(p: int, ell: int, k_plus: int, k_minus: int) -> tuple[int, int, 
         )
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    check_scan_size(p**ell - 1)  # a tiling of a group of order p^ell
+    check_scan_size(len(arms), p, ell)  # a tiling of a group of order p^ell
     return p, ell, arms
 
 
@@ -114,7 +114,7 @@ def two_one_splitting(ell: int) -> Splitting:
     [ell] = integers([ell], "ell")
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    check_scan_size(4**ell - 1)
+    check_scan_size(3, 4, ell)
     level = [1]
     for i in range(1, ell):
         modulus = 4 ** (i + 1)
@@ -147,7 +147,7 @@ def matrix_extension(base: Splitting, k: int) -> Splitting:
             )
     sp = base
     if k > 1:  # k copies hold n*(v^k - 1)/(v - 1) splitters
-        check_scan_size(base.n * len(base.multipliers) * (v**k - 1) // (v - 1))
+        check_scan_size(base.n * len(base.multipliers), v, k)
         orders, columns = reduce(_product, [(base.group.orders, base.splitters)] * k)
         sp = Splitting(FiniteAbelianGroup(orders), base.multipliers, tuple(columns))
     if not verify_packing(sp).ok:

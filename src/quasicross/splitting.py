@@ -158,8 +158,15 @@ def make_cyclic_splitting(q: int, k_plus: int, k_minus: int, splitters) -> Split
     return Splitting(g, MultiplierSet(k_plus, k_minus), tuple((s,) for s in splitters))
 
 
-def check_scan_size(products: int) -> None:
-    """Refuse a scan of more than SCAN_MAX_PRODUCTS products."""
+def check_scan_size(scale: int, base: int = 2, exponent: int = 1) -> None:
+    """Refuse a scan of more than SCAN_MAX_PRODUCTS products.  The count is
+    scale * (1 + base + ... + base^(exponent - 1)), which fits every construction
+    (scale alone by default).  It is at least base^(exponent - 1), so an exponent
+    past the limit's bit length is refused before the power is raised."""
+    if exponent > SCAN_MAX_PRODUCTS.bit_length():
+        raise ValueError(f"the product scan needs at least {base}^{exponent - 1} products, "
+                         f"more than {SCAN_MAX_PRODUCTS}")
+    products = scale * (base**exponent - 1) // (base - 1)
     if products > SCAN_MAX_PRODUCTS:
         raise ValueError(f"the product scan needs {products} products, more than {SCAN_MAX_PRODUCTS}")
 

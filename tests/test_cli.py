@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
 import signal
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -121,6 +123,22 @@ def test_lattice_on_a_non_packing_exits_1(capsys, tmp_path):
     path.write_text(to_json(make_cyclic_splitting(7, 2, 1, [1, 2])), encoding="utf-8")
     err = "not a packing: collision 2*1 = 1*2 = 2\n"
     assert run_cli(capsys, "lattice", str(path)) == (1, "", err)
+
+
+NON_PACKING = json.dumps({"orders": [17], "k_plus": 3, "k_minus": 2, "splitters": [[1], [2]]})
+
+
+def test_decode_of_a_non_packing_exits_1_after_one_scan(capsys, monkeypatch, tmp_path):
+    # the syndrome table's RuntimeError reached `main` as an internal fault, exit 3
+    from quasicross import codec
+
+    path = tmp_path / "np.json"
+    path.write_text(NON_PACKING, encoding="utf-8")
+    scans = []
+    monkeypatch.setattr(codec, "_scan_products", lambda sp: scans.append(sp) or split_mod._scan_products(sp))
+    argv = ("decode", "--code", str(path), "--levels", "17", "--word", "1", "2")
+    assert run_cli(capsys, *argv) == (1, "", "not a packing: collision -2*1 = -1*2 = 15\n")
+    assert len(scans) == 1
 
 
 def test_bounds_ruled_out(capsys):
@@ -388,6 +406,26 @@ def test_oversized_constructions_are_refused_before_they_allocate(kind):
     assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", err)
 
 
+HUGE_EXPONENTS = {
+    "cyclic": (["cyclic", "--p", "5", "--ell", str(10**7), "--kplus", "3", "--kminus", "1"], 5),
+    "field": (["field", "--p", "5", "--ell", str(10**7), "--kplus", "3", "--kminus", "1"], 5),
+    "two-one": (["two-one", "--ell", str(10**7)], 4),
+    "mixed": (["mixed", "--p", "5", "--ell", "1", "--kplus", "3", "--kminus", "1", "--k", str(10**7)], 5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HUGE_EXPONENTS))
+def test_huge_exponents_are_refused_before_the_power(capsys, kind):
+    # the count was raised in full: an exponent of 10^5 ended in the int
+    # printing limit's error, and one of 10^7 took seconds to refuse
+    argv, base = HUGE_EXPONENTS[kind]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "construct", *argv)
+    assert time.perf_counter() - start < 1.0
+    limit = split_mod.SCAN_MAX_PRODUCTS
+    assert (code, out, err) == (2, "", f"error: the product scan needs at least {base}^{10**7 - 1} products, more than {limit}\n")
+
+
 def test_scan_limit_admits_the_largest_constructions():
     # the (3,1) tiling of Z_390625 makes 390,624 products and is verified as it is built
     assert cyclic_splitting(5, 8, 3, 1).n * 4 == 390_624 <= split_mod.SCAN_MAX_PRODUCTS
@@ -526,6 +564,7 @@ def test_fuzzed_input_files_exit_0_1_or_2_without_a_traceback(tmp_path_factory, 
     @settings(max_examples=60, deadline=None)
     @given(texts)
     @example(BIG_ARMS)
+    @example(NON_PACKING)
     def check(text):
         path.write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
@@ -548,3 +587,61 @@ def test_verify_of_arms_past_2_63_exits_2(capsys, tmp_path):
     assert run_cli(capsys, "verify", str(path)) == (
         2, "", f"error: the product scan needs {products} products, more than {split_mod.SCAN_MAX_PRODUCTS}\n"
     )
+
+
+# argv for the dispatch in `main`: help, missing, extra, unknown and
+# malformed arguments, choices, abbreviations and `--`, through the command's
+# own parser or the top level's
+DISPATCH = [
+    [], ["-h"], ["frobnicate"], ["frobnicate", "--q", "4"], ["--bogus", "verify", "a.json"],
+    ["--", "verify", "a.json"], ["verify", "-h"], ["verify", "a.json", "--help", "--bogus"], ["verify"],
+    ["verify", "a.json", "b.json"], ["verify", "a.json", "--bogus"], ["verify", "a.json", "-x", "--bogus", "c"],
+    ["verify", "a.json", "--format", "xml"], ["verify", "a.json", "--form", "json"],
+    ["verify", "--", "a.json"], ["verify", "a.json", "--"], ["construct", "nope"],
+    ["construct", "cyclic", "--p", "5", "--ell", "2", "--kplus", "3", "--kminus", "1"],
+    ["bounds", "--kplus", "2"], ["bounds", "--kplus", "2", "--kminus", "1", "--q=16", "--format", "json"],
+    ["decode", "--code", "c.json", "--levels", "x", "--word", "1"],
+    ["decode", "--code", "c.json", "--levels", "17", "--word", "1", "two"],
+    ["decode", "--code", "c.json", "--levels", "17", "--word", "-1", "2"],
+    ["decode", "--code", "c.json", "--levels", "17", "--word"],
+    ["encode", "--code", "c.json", "--levels", "17", "--info", "--t", "0"],
+    ["survey", "--kmax", "1.5"], ["survey", "--kmax", "2", "--kmax", "3", "--no-prune", "--csv", "o.csv"],
+    ["search", "--kplus", "2", "--kminus", "1", "--q", "16", "--first", "--raw", "--time-limit", "1"],
+    ["plot", "--window", "3", "stray"],
+]
+
+
+def parse_outcome(parse, argv):
+    """What a parse of argv shows: its Namespace less `command`, or the
+    SystemExit code, and the stdout and stderr it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args = parse(list(argv))
+        except SystemExit as exc:
+            args = exc.code
+    if isinstance(args, argparse.Namespace):
+        args = {k: v for k, v in vars(args).items() if k != "command"}
+    return args, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", DISPATCH, ids=[" ".join(a) or "none" for a in DISPATCH])
+def test_main_parses_as_the_top_level_parser_does(monkeypatch, argv):
+    # `main` hands argv[1:] to the command's own parser; each command
+    # records its Namespace here instead of running
+    seen = []
+    for command in build_parser().commands.values():
+        monkeypatch.setitem(command._defaults, "func", lambda args: seen.append(args) or 0)
+
+    def through_main(argv):
+        assert main(argv) == 0
+        return seen.pop()
+
+    assert parse_outcome(through_main, argv) == parse_outcome(build_parser().parse_args, argv)
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    # the console script calls main() with no argument
+    monkeypatch.setattr(sys, "argv", ["quasicross", "bounds", "--kplus", "2", "--kminus", "1", "--q", "16"])
+    assert main() == 0
+    assert capsys.readouterr() == ("not ruled out\n", "")
