@@ -16,6 +16,12 @@ nonzero residues.  The covered residues and the still-live splitters
   (q/u) * phi(u/d), less 1 for d = u (zero is excluded).  A tiling needs
   k_plus + k_minus to divide every |C_d|, a test made before any O(q)
   set-up; with u = q it is k_plus + k_minus | p - 1 for each prime p | q.
+  The class masks come in closed form.  For e | q the multiples of e in
+  [0, q) are the bitmask sum_j 2^(j*e) = (2^q - 1)/(2^e - 1).  For d | u,
+  r is a multiple of d iff d | gcd(r, u), that is iff gcd(r, u) = e for
+  exactly one e with d | e | u.  So C_d is the mask of d less the
+  disjoint C_e of the proper multiples e of d dividing u, made largest
+  d first; C_u also drops 0, which is in the mask of u as gcd(0, u) = u.
 * 1 is fixed in S.  The splitter whose block covers 1 is a unit s, and
   s^-1 * S is a tiling that contains 1, so every unit-scaling orbit has
   members holding 1 and the search enumerates only those.  The rest of
@@ -25,12 +31,21 @@ nonzero residues.  The covered residues and the still-live splitters
   most-constrained-first rule from "Dancing Links".  A residue with no
   live candidate ends the branch at once, and since every residue must
   be covered, branching on any one of them loses no solution.
-* A covered set whose subtree held no cover is never walked again, the
-  memo of exact-cover search.  In the search of C_d the live splitters
-  of C_d are those whose blocks miss the covered set (each choice,
-  block(1) first, drops the ones meeting its block), and only they hold
-  residues of C_d: a subtree depends on its covered set alone.  In (2,1),
-  4 | q, {x, -x+q/2} and {-x, x+q/2} cover the same six residues.
+* Each covered set is searched once.  In the search of C_d the live
+  splitters of C_d are those whose blocks miss the covered set (each
+  choice, block(1) first, drops the ones meeting its block), and only
+  they hold residues of C_d: the covers below a covered set depend on
+  that set alone.  In (2,1), 4 | q, {x, -x+q/2} and {-x, x+q/2} cover
+  the same six residues.  So the DFS keeps a memo, covered set -> its
+  live branches (s, child covered set) in branch order, () for a set
+  with no cover below it.  The covers below a set number the sum of
+  those below its branches' children (1 at the full set), each counted
+  once as the branches differ in the splitter covering the branch
+  residue; their product over the classes counts the tilings that hold
+  1 before any is listed (Nishino, Yasuda, Minato and Nagata, "Dancing
+  with decision diagrams", AAAI 2017).  Listing walks live branches
+  only, each with a cover below it, so it meets no dead end and costs
+  the size of its output.
 
 The set-up before the search rests on three facts.  Write M for the
 multipliers, the nonzero integers in [-k_minus, k_plus], span =
@@ -71,10 +86,9 @@ import json
 import time
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass
-from functools import cache, reduce
+from functools import reduce
 from io import StringIO
-from itertools import chain, product
-from math import gcd, inf
+from math import gcd, inf, prod
 from operator import or_
 
 from .bounds import instance_feasibility
@@ -89,6 +103,7 @@ from .splitting import (
 
 
 COVER_MASKS_MAX_BYTES = 100_000_000  # q up to 28,284
+FIND_ALL_MAX_TILINGS = 1_000_000  # raw tilings that hold 1, listed by a find-all
 
 
 class SearchTimeout(Exception):
@@ -129,14 +144,16 @@ def _scaled(q: int, u: int, values) -> tuple[int, ...]:
     return tuple(sorted(u * s % q for s in values))
 
 
-def _orbit_min(q: int, sets) -> list[tuple[int, ...]]:
+def _orbit_min(q: int, sets, check_clock=lambda: None) -> list[tuple[int, ...]]:
     """Each unit-scaling orbit's minimum among the sorted tuples `sets`,
     once, in first-met order.  An orbit's members are built once: u*S for
     the inverses u of the units of S, or every unit multiple when S holds
-    none (module docstring); a later set among them is skipped."""
+    none (module docstring); a later set among them is skipped.  The
+    deadline is checked once per orbit."""
     seen, minima = set(), {}
     for values in sets:
         if values not in seen:
+            check_clock()
             inverses = [pow(s, -1, q) for s in values if gcd(s, q) == 1]
             members = {_scaled(q, u, values) for u in inverses or range(1, q) if gcd(u, q) == 1}
             seen |= members
@@ -170,6 +187,16 @@ def _class_sizes(q: int, k_plus: int) -> tuple[int, dict[int, int]]:
     return u, {u // e: q // u * f - (e == 1) for e, f in phi.items()}
 
 
+def _class_masks(q: int, divisors) -> dict[int, int]:
+    """C_d as a bitmask for each d among `divisors`, the divisors of u, by
+    inclusion-exclusion over the masks of multiples (module docstring)."""
+    masks: dict[int, int] = {}
+    for d in sorted(divisors, reverse=True):  # each multiple of d before d
+        masks[d] = ((1 << q) - 1) // ((1 << d) - 1) - sum(m for e, m in masks.items() if e % d == 0)
+    masks[max(divisors)] -= 1  # 0, which gcd(0, u) = u puts in C_u
+    return masks
+
+
 def search_tilings(
     k_plus: int,
     k_minus: int,
@@ -186,7 +213,8 @@ def search_tilings(
     is returned, which exposes full orbit sizes.  find_all=False stops
     at the first solution.  Returns [] when k_plus+k_minus does not
     divide the size of every gcd class (no tiling can exist by counting;
-    see the module docstring).
+    see the module docstring).  A find-all refuses with ValueError, from
+    their exact count, more than FIND_ALL_MAX_TILINGS raw tilings that hold 1.
     """
     _check_time_limit(time_limit)
     deadline = time.monotonic() + time_limit if time_limit is not None else None
@@ -197,38 +225,28 @@ def search_tilings(
         if deadline is not None and time.monotonic() > deadline:
             raise SearchTimeout(f"search ({k_plus},{k_minus}) over Z_{q} exceeded {time_limit}s")
 
-    u, sizes = _class_sizes(q, multipliers.k_plus)
+    _, sizes = _class_sizes(q, multipliers.k_plus)
     check_clock()
     if any(size % len(multipliers) for size in sizes.values()):
         return []
     holders = _cover_blocks(q, multipliers, check_clock)
-    residues = {d: 0 for d, size in sizes.items() if size}  # d -> C_d as a bitmask
-    for r in range(1, q):
-        residues[gcd(r, u)] |= 1 << r
     full = (1 << q) - 2  # residues 1..q-1
-    # 1 is fixed in S (see the module docstring).  It is valid: span
-    # divides the class sizes, which sum to q-1, so ord(1) = q > span.
-    chosen: list[int] = []
-    covers: list[list[tuple[int, ...]]] = []  # per class, its covers
-    dead: set[int] = set()  # covered sets whose subtrees hold no cover
+    placed: dict[int, tuple[int, int]] = {}
+    memo: dict[int, tuple[tuple[int, int], ...]] = {}  # covered -> its live branches (s, child)
 
-    @cache
-    def placed(s: int) -> tuple[int, int]:
+    def place(s: int) -> tuple[int, int]:
         # the block of s, and the complement of the splitters whose blocks
         # meet it (s included), so that `live & spared` drops them; built on
-        # first use, as the median grid instance branches on 3% of its
-        # splitters, and in one cached lookup, as the DFS needs both at once
+        # first use, as the median grid instance branches on 3% of its splitters
         prods = [m * s % q for m in multipliers]
-        return sum(1 << p for p in prods), ~reduce(or_, (holders[p] for p in prods))
+        placed[s] = sum(1 << p for p in prods), ~reduce(or_, (holders[p] for p in prods))
+        return placed[s]
 
     def dfs(covered: int, live: int) -> bool:
         # live: the splitters whose blocks are disjoint from covered
         check_clock()
-        if covered in dead:
-            return False
         if covered == full:
-            covers[-1].append(tuple(chosen))
-            return not find_all
+            return True
         # branch on the uncovered residue with the fewest live candidates
         rem = (~covered) & full
         fewest = q
@@ -241,33 +259,54 @@ def search_tilings(
                 if count < 2:
                     break
             rem ^= low
-        found = len(covers[-1])
+        branches = []
         while best:
             low = best & -best
             s = low.bit_length() - 1
-            chosen.append(s)
-            block, spared = placed(s)
-            stop = dfs(covered | block, live & spared)
-            chosen.pop()
-            if stop:
-                return True
+            block, spared = placed[s] if s in placed else place(s)
+            child = covered | block
+            if memo[child] if child in memo else dfs(child, live & spared):
+                branches.append((s, child))
+                if not find_all:
+                    break
             best ^= low
-        if len(covers[-1]) == found:
-            dead.add(covered)
-        return False
+        memo[covered] = tuple(branches)
+        return bool(branches)
 
-    block, spared = placed(1)
-    for d in sorted(residues):  # C_1 first; the other classes start out covered
-        covers.append([])
-        dfs(full & ~residues[d] | block, ((1 << q) - 1) & spared)
-        if not covers[-1]:
-            return []
-    solutions = [tuple(sorted((1, *chain(*parts)))) for parts in product(*covers)]
+    # 1 is fixed in S (see the module docstring).  It is valid: span
+    # divides the class sizes, which sum to q-1, so ord(1) = q > span.
+    block, spared = place(1)
+    masks = _class_masks(q, sizes)
+    roots = [full & ~masks[d] | block for d in sorted(masks) if masks[d]]  # C_1 first
+    found = all(dfs(root, ((1 << q) - 1) & spared) for root in roots)
+    del dfs  # it refers to itself, which would keep the memo until the cyclic GC runs
+    if not found:
+        return []
+    if find_all:
+        paths = {full: 1}  # covered -> the covers below it; a child enters the memo first
+        for covered, branches in memo.items():
+            paths[covered] = sum(paths[child] for _, child in branches)
+        raw = prod(paths[root] for root in roots)
+        if raw > FIND_ALL_MAX_TILINGS:
+            raise ValueError(f"search ({k_plus},{k_minus}) over Z_{q} has {raw} tilings that hold 1, "
+                             f"more than the {FIND_ALL_MAX_TILINGS} a find-all lists")
+    # one walk of the live branches, class after class, in the DFS's leaf order
+    solutions, chosen, stack = [], [], [(0, 1, full, 0)]  # depth, splitter, covered, classes entered
+    while stack:
+        depth, s, covered, entered = stack.pop()
+        chosen[depth:] = [s]
+        while covered == full and entered < len(roots):
+            covered, entered = roots[entered], entered + 1
+        if covered == full:
+            solutions.append(tuple(sorted(chosen)))
+        else:
+            stack.extend((depth + 1, s, child, entered) for s, child in reversed(memo[covered]))
     if dedupe:
-        canonical = sorted(_orbit_min(q, solutions))
+        canonical = sorted(_orbit_min(q, solutions, check_clock))
     elif find_all:
         units = [u for u in range(1, q) if gcd(u, q) == 1]
-        canonical = sorted({_scaled(q, u, m) for m in _orbit_min(q, solutions) for u in units})
+        minima = _orbit_min(q, solutions, check_clock)
+        canonical = sorted({_scaled(q, u, m) for m in minima for u in units})
     else:
         canonical = solutions
     out = []

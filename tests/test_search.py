@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from collections import Counter
 from math import gcd
@@ -154,6 +156,17 @@ def test_class_sizes_match_a_count(k_plus):
         )
 
 
+@pytest.mark.parametrize("k_plus", range(2, 11))
+def test_class_masks_match_a_gcd_loop(k_plus):
+    # the closed form, by inclusion-exclusion over the masks of multiples,
+    # against each residue's gcd with u
+    for q in range(2, 301):
+        u = big_part(q, k_plus)
+        divisors = [d for d in range(1, u + 1) if u % d == 0]
+        expected = {d: sum(1 << r for r in range(1, q) if gcd(r, u) == d) for d in divisors}
+        assert search_mod._class_masks(q, divisors) == expected
+
+
 @pytest.mark.parametrize("k_plus", range(2, 7))
 def test_cover_blocks_match_the_brute_product_sets(k_plus):
     # every arm pair with this k_plus and every q <= 90, singular q included
@@ -275,6 +288,60 @@ def test_search_31_q173_is_the_fourth_power_residues():
     assert [sp.splitter_values() for sp in found] == [oracles.orbit_min(173, fourth_powers)]
 
 
+@pytest.mark.parametrize("k_plus,k_minus,q,holding_1", [(2, 1, 64, 1024), (3, 1, 25, 4), (3, 1, 125, 16)])
+def test_find_all_refuses_past_its_budget_from_the_exact_count(monkeypatch, k_plus, k_minus, q, holding_1):
+    # (3,1,25) has two gcd classes and (3,1,125) three, so their counts are products
+    assert sum(1 in values for values in oracles.reference_search(k_plus, k_minus, q)) == holding_1
+    classes = len(search_tilings(k_plus, k_minus, q))
+    monkeypatch.setattr(search_mod, "FIND_ALL_MAX_TILINGS", holding_1 - 1)
+    with pytest.raises(ValueError) as refused:
+        search_tilings(k_plus, k_minus, q, dedupe=False)
+    assert str(refused.value) == (
+        f"search ({k_plus},{k_minus}) over Z_{q} has {holding_1} tilings that hold 1, "
+        f"more than the {holding_1 - 1} a find-all lists"
+    )
+    assert len(search_tilings(k_plus, k_minus, q, find_all=False)) == 1
+    monkeypatch.setattr(search_mod, "FIND_ALL_MAX_TILINGS", holding_1)
+    assert len(search_tilings(k_plus, k_minus, q)) == classes
+
+
+def test_find_all_leaves_no_cycle_holding_its_lists():
+    # the recursive dfs refers to itself; unless the search breaks that
+    # cycle, each find-all's memo and tables wait for the cyclic GC
+    search_tilings(2, 1, 64)  # fills the module caches first
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            search_tilings(2, 1, 64)
+        held, _ = tracemalloc.get_traced_memory()
+        left_in_cycles = gc.collect()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 1 << 20
+    assert left_in_cycles == 0
+
+
+def test_time_limit_holds_while_orbits_are_canonicalised(monkeypatch):
+    # the find-all of (3,1,577) spends about 90% of its time in `_orbit_min`,
+    # which once ran to the end however far past the deadline it was
+    now = [0.0]
+    monkeypatch.setattr(search_mod, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+    orbit_min = search_mod._orbit_min
+
+    def late(*args):
+        now[0] = 2.0  # the limit runs out as the first orbit is built
+        return orbit_min(*args)
+
+    monkeypatch.setattr(search_mod, "_orbit_min", late)
+    for dedupe in (True, False):
+        now[0] = 0.0
+        with pytest.raises(SearchTimeout, match=r"search \(2,1\) over Z_64 exceeded 1s"):
+            search_tilings(2, 1, 64, dedupe=dedupe, time_limit=1)
+
+
 def test_search_timeout():
     with pytest.raises(SearchTimeout):
         search_tilings(2, 1, 100, time_limit=1e-9)
@@ -348,6 +415,19 @@ def test_search_refuses_an_order_whose_cover_masks_pass_the_budget():
     err = b"error: search over Z_64033 needs about 512528136 bytes of cover masks, more than 100000000\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err)
     assert 64033**2 // 8 > search_mod.COVER_MASKS_MAX_BYTES >= 28279**2 // 8
+
+
+def test_search_refuses_a_huge_find_all_from_its_count():
+    # (2,1,256) has 2^42 tilings that hold 1; listing them once ended in
+    # MemoryError, and counting them lists none
+    start = time.monotonic()
+    proc = search_in_512_mib("--q", "256")
+    assert time.monotonic() - start < 1
+    err = b"error: search (2,1) over Z_256 has 4398046511104 tilings that hold 1, more than the 1000000 a find-all lists\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err)
+    first = search_in_512_mib("--q", "256", "--first")
+    assert (first.returncode, first.stderr) == (0, b"")
+    assert first.stdout.startswith(b"1 canonical tiling(s)\n1 3 4 5 7 ")
 
 
 def test_search_memory_error_exits_2_without_a_traceback(capsys, monkeypatch):
