@@ -96,8 +96,7 @@ def _cmd_verify(args) -> int:
     det = lattice_mod.determinant(lat)
     density = Fraction(sp.shape.volume, det)  # at most 1: the scan proved a packing
     periods = lattice_mod.period(sp)
-    guard = lattice_mod.GEOMETRIC_CHECK_MAX_VOLUME
-    geo = lattice_mod.geometric_check(sp, lat) if sp.shape.volume <= guard else None
+    geo = lattice_mod.geometric_check(sp, lat)
     verdict = "tiling" if check.tiling else "packing"
     sing = split_mod.classify_singularity(sp).value
     index = sp.group.order // det
@@ -107,10 +106,7 @@ def _cmd_verify(args) -> int:
     ]
     if index != 1:
         lines.append(f"splitters generate an index-{index} subgroup")
-    if geo is not None:
-        lines.append(f"geometric check: {geo.verdict}, {geo.uncovered} uncovered coset(s)")
-    else:
-        lines.append(f"geometric check skipped: cross volume {sp.shape.volume} exceeds {guard}")
+    lines.append(f"geometric check: {geo.verdict}, {geo.uncovered} uncovered coset(s)")
     payload = {
         "verdict": verdict,
         "density": str(density),
@@ -118,7 +114,7 @@ def _cmd_verify(args) -> int:
         "period": list(periods),
         "singularity": sing,
         "subgroup_index": index,
-        "geometric": None if geo is None else geo.verdict,
+        "geometric": geo.verdict,
     }
     _emit(args, lines, payload)
     return EXIT_OK

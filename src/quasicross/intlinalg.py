@@ -21,6 +21,10 @@ row is e_i plus entries in those few columns, and a batch of vectors is
 worked on in whole-list passes, one per such column.  `_fold` is the one
 xgcd row step, `_carry` the one reduction of those columns into the HNF
 box, and `pivot_projection` the one place the rows with pivot 1 enter.
+Each such column is one pass: `_carry` reduces it by one `%` and makes
+its quotients only when its row has entries besides the pivot, and
+`kernel_hnf` skips the `%` and `//` passes at a column where H already
+has pivot 1, as every vector lies in H there.
 """
 
 from __future__ import annotations
@@ -92,9 +96,12 @@ def _carry(rows, columns: dict[int, list[int]]) -> dict[int, list[int]]:
     ascending order, and is reduced in place, largest column first, each
     column's quotients carried into the columns of its row."""
     for p in reversed(columns):
-        q = [x // rows[p][-1][1] for x in columns[p]]
-        for j, h in rows[p]:
-            columns[j] = [x - h * y for x, y in zip(columns[j], q)]
+        d, col = rows[p][-1][1], columns[p]
+        columns[p] = [x % d for x in col]
+        if len(rows[p]) > 1:  # the quotients are carried only where row p has entries
+            q = [x // d for x in col]
+            for j, h in rows[p][:-1]:
+                columns[j] = [x - h * y for x, y in zip(columns[j], q)]
     return columns
 
 
@@ -140,7 +147,8 @@ def kernel_hnf(vectors, moduli) -> list[SparseRow]:
     HNF range.  Only columns with a pivot above 1 (at most log2 of the
     group order of them) ever enter such an expression, and H changes
     only there: so each run of rows up to the next vector outside H is one
-    batch of whole-list passes over the vectors left (a sequence).
+    batch of whole-list passes over the vectors left (a sequence), sliced
+    from its columns, transposed once.
 
     H is kept as a lower-triangular basis `gens` of its preimage in Z^k,
     which starts as diag(moduli).  Each row of `gens` carries, as trailing
@@ -151,21 +159,24 @@ def kernel_hnf(vectors, moduli) -> list[SparseRow]:
     gens = [[d if c == r else 0 for c in range(k)] for r, d in enumerate(moduli)]
     big: list[int] = []  # the columns with a pivot above 1, ascending
     rows: list[SparseRow] = []
+    columns = [list(col) for col in zip(*vectors)]
     while len(rows) < len(vectors):
         # rest[c][b] = (t*v - sum coef[c'] * gens[c'])[c] for the b-th vector
         # of the run, with v 0 past column k (its entries at the pivot columns
         # above 1); only the last one can leave H, so only its t is not 1
         start, t = len(rows), 1
-        rest = [list(col) for col in zip(*vectors[start:])]
+        rest = [col[start:] for col in columns]
         rest += [[0] * len(rest[0]) for _ in big]
         for c in range(k - 1, -1, -1):
             d = gens[c][c]
-            out = next(compress(count(), [x % d for x in rest[c]]), None)
-            if out is not None:  # the run ends at its first vector outside H
-                f = d // gcd(rest[c][out], d)
-                t = f * (t if out == len(rest[c]) - 1 else 1)
-                rest = [col[:out] + [f * col[out]] for col in rest]
-            coef = [x // d for x in rest[c]]
+            coef = rest[c]  # with d = 1 every vector lies in H at column c
+            if d > 1:
+                out = next(compress(count(), [x % d for x in rest[c]]), None)
+                if out is not None:  # the run ends at its first vector outside H
+                    f = d // gcd(rest[c][out], d)
+                    t = f * (t if out == len(rest[c]) - 1 else 1)
+                    rest = [col[:out] + [f * col[out]] for col in rest]
+                coef = [x // d for x in rest[c]]
             for j, h in enumerate(gens[c]):
                 if h and j != c:  # column c is done: what is left there is 0
                     rest[j] = [x - h * a for x, a in zip(rest[j], coef)]
@@ -215,9 +226,9 @@ def reduce_mod_lattice(hnf, batch: dict[int, list[int]]) -> list[int]:
     coordinate 0 most significant, so the lattice gets 0.  With no pivot
     above 1 the lattice is Z^n, the batch is empty, and so is the result.
     """
-    columns = _carry(hnf, dict(batch))
-    index = [0] * len(next(iter(columns.values()), ()))
-    for p, col in columns.items():
+    columns = iter(_carry(hnf, dict(batch)).items())
+    _, index = next(columns, (None, []))
+    for p, col in columns:
         pivot = hnf[p][-1][1]
         index = [a * pivot + x for a, x in zip(index, col)]
     return index

@@ -35,7 +35,6 @@ from .groups import integers
 from .intlinalg import SparseRow, hnf_lower, kernel_hnf, pivot_projection, reduce_mod_lattice
 from .splitting import QuasiCrossShape, Splitting, json_int_list
 
-GEOMETRIC_CHECK_MAX_VOLUME = 100_000
 RENDER_2D_MAX_CELLS = 1_000_000  # about 100 MB of SVG
 
 
@@ -161,23 +160,19 @@ def geometric_check(sp: Splitting, lat: IntegerLattice | None = None) -> Geometr
     pairwise distinct, and tile iff additionally every coset is hit.  A
     cell is m*e_i, whose projection is m times entry i of each column of
     `intlinalg.pivot_projection`, so the check costs O(volume * pivots
-    above 1); with none the lattice is Z^n and every cell hits the center.
-    The overlap witness is the first cell in (i, m) order whose coset an
-    earlier cell holds.  Guarded to cross volumes <= GEOMETRIC_CHECK_MAX_VOLUME.
-    `lat`, when the caller already has it, is `lattice_from_splitting(sp)`;
-    the number of cosets is its `determinant`.
+    above 1).  Its cells but the center are the product scan's n*|M|
+    products, which `verify` bounds by scanning first, under the scan's
+    size limit.  With no pivot above 1 the lattice is Z^n and every cell
+    hits the center.  The overlap witness is the first cell in (i, m)
+    order whose coset an earlier cell holds.  `lat`, when the caller
+    already has it, is `lattice_from_splitting(sp)`; the number of cosets
+    is its `determinant`.
 
     The verdict matches verify_packing/is_tiling whenever the splitters
     generate the group.  When they generate a proper subgroup the
     geometry answers for that subgroup: the lattice may tile space even
     though the splitting of the full group is not perfect.
     """
-    shape = sp.shape
-    if shape.volume > GEOMETRIC_CHECK_MAX_VOLUME:
-        raise ValueError(
-            f"cross volume {shape.volume} exceeds the geometric_check guard "
-            f"({GEOMETRIC_CHECK_MAX_VOLUME})"
-        )
     if lat is None:
         lat = lattice_from_splitting(sp)
     hnf = lat.hnf().rows
@@ -201,16 +196,20 @@ def geometric_check(sp: Splitting, lat: IntegerLattice | None = None) -> Geometr
 
 def lattice_to_json(lat: IntegerLattice) -> str:
     """`{"basis": [[...], ...]}`, the bytes of `json.dumps` of the dense
-    rows, each written from its sparse pairs with every run of zeros as
-    one repeated "0, "."""
-    rows = []
+    rows, written from their sparse pairs in one join: each run of zeros
+    is a slice of one "0, " * n before an entry or of one ", 0" * n after
+    a row's last entry, and a zero row is that tail less its first ", "."""
+    n = lat.n
+    zeros, tail = "0, " * n, ", 0" * n
+    out = ['{"basis": [']
     for row in lat.rows:
-        text, nxt = "", 0
+        nxt = 0
         for j, x in row:
-            text += "0, " * (j - nxt) + f"{x}, "
+            out += (", " if nxt else "[", zeros[: 3 * (j - nxt)], str(x))
             nxt = j + 1
-        rows.append("[" + (text + "0, " * (lat.n - nxt))[:-2] + "]")
-    return '{"basis": [' + ", ".join(rows) + "]}"
+        out.append(tail[: 3 * (n - nxt)] + "], " if nxt else "[" + tail[2 : 3 * n] + "], ")
+    out[-1] = out[-1][:-2] + "]}"
+    return "".join(out)
 
 
 def lattice_from_json(text: str) -> IntegerLattice:

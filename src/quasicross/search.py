@@ -83,6 +83,7 @@ abelian group.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass
@@ -278,8 +279,13 @@ def search_tilings(
     block, spared = place(1)
     masks = _class_masks(q, sizes)
     roots = [full & ~masks[d] | block for d in sorted(masks) if masks[d]]  # C_1 first
-    found = all(dfs(root, ((1 << q) - 1) & spared) for root in roots)
-    del dfs  # it refers to itself, which would keep the memo until the cyclic GC runs
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + q)  # dfs nests one frame per splitter, fewer than q
+    try:
+        found = all(dfs(root, ((1 << q) - 1) & spared) for root in roots)
+    finally:
+        sys.setrecursionlimit(limit)
+        del dfs  # it refers to itself, which would keep the memo until the cyclic GC runs
     if not found:
         return []
     if find_all:

@@ -447,17 +447,19 @@ def test_plot_budget_refuses_before_drawing(capsys, monkeypatch, tmp_path):
     assert run_cli(capsys, "plot", "--splitting", str(z11))[0] == 0
 
 
-def test_verify_reports_skipped_geometric_check(capsys, monkeypatch, z17_json):
-    from quasicross import lattice
-
-    monkeypatch.setattr(lattice, "GEOMETRIC_CHECK_MAX_VOLUME", 10)
-    code, out, _ = run_cli(capsys, "verify", z17_json)
+def test_verify_runs_the_geometric_check_past_volume_100000(capsys, tmp_path):
+    # Z_390625: n = 97,656 splitters, cross volume 390,625; the check has no
+    # volume guard of its own, as the scan's product limit already bounds it
+    code, out, _ = run_cli(capsys, "construct", "cyclic", "--p", "5", "--ell", "8", "--kplus", "3", "--kminus", "1")
     assert code == 0
-    assert out.splitlines()[-1] == "geometric check skipped: cross volume 11 exceeds 10"
-    assert not any(line.startswith("geometric check: ") for line in out.splitlines())
-    code, out, _ = run_cli(capsys, "verify", z17_json, "--format", "json")
+    path = tmp_path / "z390625.json"
+    path.write_text(out, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 0
-    assert json.loads(out)["geometric"] is None
+    assert out.splitlines()[-1] == "geometric check: tiling, 0 uncovered coset(s)"
+    code, out, _ = run_cli(capsys, "verify", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["geometric"] == "tiling"
 
 
 def test_interrupt_exits_130_and_restores_the_sigint_handler(capsys, monkeypatch):

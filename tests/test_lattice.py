@@ -270,11 +270,12 @@ def test_geometric_check_overlap_witness():
     assert a != b and a is not None and b is not None
 
 
-def test_geometric_check_guard():
-    # volume 3*33334+1 = 100003 exceeds the enumeration guard
+def test_geometric_check_runs_past_the_old_volume_guard():
+    # volume 3*33334+1 = 100003 was once refused; 2*1 = 1*2 is the first
+    # overlap, in (i, m) order, as the product scan also finds it
     sp = make_cyclic_splitting(10**6 + 3, 2, 1, range(1, 33335))
-    with pytest.raises(ValueError, match="guard"):
-        geometric_check(sp)
+    assert geometric_check(sp) == GeometricReport("overlap", 0, ((0, 2), (1, 1)))
+    assert verify_packing(sp).collision.product == (2,)
 
 
 def test_density_one_iff_tiling():

@@ -430,6 +430,21 @@ def test_search_refuses_a_huge_find_all_from_its_count():
     assert first.stdout.startswith(b"1 canonical tiling(s)\n1 3 4 5 7 ")
 
 
+def test_search_past_the_default_recursion_limit_finds_a_tiling():
+    # (2,1,4096) covers 4095 residues with 1365 splitters, one dfs frame
+    # each: deeper than the interpreter's default recursion limit of 1000
+    limit = sys.getrecursionlimit()
+    proc = search_in_512_mib("--q", "4096", "--first", "--time-limit", "30")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    head, values, *rest = proc.stdout.decode().splitlines()
+    assert (head, rest) == ("1 canonical tiling(s)", [])
+    splitters = [(int(s),) for s in values.split()]
+    assert len(splitters) == 1365
+    assert oracles.brute_is_tiling((4096,), 2, 1, splitters)
+    assert len(search_tilings(2, 1, 4096, find_all=False)) == 1
+    assert sys.getrecursionlimit() == limit  # restored after the search
+
+
 def test_search_memory_error_exits_2_without_a_traceback(capsys, monkeypatch):
     def out_of_memory(*args):
         raise MemoryError
