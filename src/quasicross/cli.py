@@ -150,7 +150,6 @@ def _cmd_survey(args) -> int:
     rows = search_mod.survey(
         k_max=args.kmax,
         q_max=args.qmax,
-        jobs=args.jobs,
         prune_with_bounds=not args.no_prune,
         time_limit=args.time_limit,
         progress_path=args.progress,
@@ -295,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sur = sub.add_parser("survey", help="search the whole (k_plus,k_minus,q) grid")
     p_sur.add_argument("--kmax", type=int, default=10)
     p_sur.add_argument("--qmax", type=int, default=100)
-    p_sur.add_argument("--jobs", type=int, default=1)
     p_sur.add_argument("--csv", help="write the CSV here instead of stdout")
     p_sur.add_argument("--progress", help="JSONL progress log (resumable)")
     p_sur.add_argument("--no-prune", action="store_true", help="search ruled-out instances too")
@@ -338,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _interrupt(signum, frame):
-    # the first Ctrl-C unwinds; later ones are ignored (`timeout` signals the
-    # child and then its group), as one that cuts into a pool's join hangs it
+    # the first Ctrl-C unwinds; later ones are ignored, as `timeout -s INT`
+    # signals the child and then its group, and a second KeyboardInterrupt
+    # could land during the unwind and escape `main` as a traceback
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     raise KeyboardInterrupt
 

@@ -36,6 +36,7 @@ from .intlinalg import SparseRow, hnf_lower, kernel_hnf, pivot_projection, reduc
 from .splitting import QuasiCrossShape, Splitting, json_int_list
 
 RENDER_2D_MAX_CELLS = 1_000_000  # about 100 MB of SVG
+LATTICE_JSON_MAX_ENTRIES = 25_000_000  # n up to 5,000, about 75 MB of JSON
 
 
 @dataclass(frozen=True, init=False)
@@ -200,6 +201,8 @@ def lattice_to_json(lat: IntegerLattice) -> str:
     is a slice of one "0, " * n before an entry or of one ", 0" * n after
     a row's last entry, and a zero row is that tail less its first ", "."""
     n = lat.n
+    if n * n > LATTICE_JSON_MAX_ENTRIES:
+        raise ValueError(f"the lattice JSON needs {n * n} entries, more than {LATTICE_JSON_MAX_ENTRIES}")
     zeros, tail = "0, " * n, ", 0" * n
     out = ['{"basis": [']
     for row in lat.rows:

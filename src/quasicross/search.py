@@ -85,7 +85,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import reduce
 from io import StringIO
@@ -417,13 +417,13 @@ def survey(
     skipped (marked unsearched); disable it to search everything, which
     turns the rule set and the search into independent cross-checks of
     each other.  A progress file (JSON lines) makes interrupted runs
-    resumable: each row is appended and flushed as soon as it and every
-    row before it in grid order are done, and a rerun searches only the
-    instances the log lacks, and with pruning off also those it logged
-    unsearched.
+    resumable: the instances run one at a time in grid order, each row is
+    appended and flushed as soon as its instance is done, and a rerun
+    searches only the instances the log lacks, and with pruning off also
+    those it logged unsearched.  `jobs` takes only 1.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs != 1:
+        raise ValueError(f"the survey runs in one process: jobs must be 1, got {jobs}")
     _check_time_limit(time_limit)
     grid = list(survey_instances(k_max, q_max))
     if not grid:
@@ -432,22 +432,8 @@ def survey(
     # an unsearched row, left by a pruned run, is redone by an unpruned one
     reused = {key for key, row in done.items() if row.searched or prune_with_bounds}
     todo = [(*key, prune_with_bounds, time_limit) for key in grid if key not in reused]
-    with ExitStack() as stack:
-        log = stack.enter_context(open(progress_path, "a", encoding="utf-8")) if progress_path else None
-        if jobs > 1 and len(todo) > 1:
-            # imported here: the process-pool machinery costs every other
-            # user of the package about 2.5 MiB and 20 ms of import
-            from concurrent.futures import ProcessPoolExecutor
-            from signal import SIG_IGN, SIGINT, signal
-
-            # Ctrl-C signals the whole process group; only this process unwinds
-            pool = ProcessPoolExecutor(jobs, initializer=signal, initargs=(SIGINT, SIG_IGN))
-            # however the loop ends, queued instances are dropped, not run
-            stack.callback(pool.shutdown, cancel_futures=True)
-            rows = pool.map(_run_instance, todo)
-        else:
-            rows = map(_run_instance, todo)
-        for row in rows:
+    with open(progress_path, "a", encoding="utf-8") if progress_path else nullcontext() as log:
+        for row in map(_run_instance, todo):
             done[row.k_plus, row.k_minus, row.q] = row
             if log:
                 log.write(json.dumps(asdict(row)) + "\n")

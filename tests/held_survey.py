@@ -5,12 +5,11 @@
 runs `python -m quasicross ARGS...` with `search._run_instance` wrapped:
 when instance (K_PLUS, K_MINUS, Q) starts, it creates the file FLAG.held
 and waits until FLAG.released exists.  The CLI's SIGINT handler creates
-FLAG.released before it unwinds, so a Ctrl-C ends the hold wherever it
-runs: in the survey process, whose wait the KeyboardInterrupt cuts short,
-or in a `--jobs` worker, which ignores SIGINT and finishes its row for
-the pool's shutdown.  Without a SIGINT the instance is held until the
-process is killed.  The kill and interrupt tests use this, so that the
-window they signal in does not depend on how fast the search is.
+FLAG.released before it unwinds, and its KeyboardInterrupt cuts the wait
+short, so the held instance logs no row.  Without a SIGINT the instance
+is held until the process is killed.  The kill and interrupt tests use
+this, so that the window they signal in does not depend on how fast the
+search is.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ def released(signum, frame):
     return interrupt(signum, frame)
 
 
-# patched on import: forked pool workers inherit it, and spawned ones,
-# which re-import this file with the same argv, patch it again
+# patched before `main` runs: it and the survey look each one up when called
 search._run_instance, cli._interrupt = held, released
 
 if __name__ == "__main__":

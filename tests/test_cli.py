@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasicross import cyclic_splitting, from_json, to_json, make_cyclic_splitting
+from quasicross import lattice as lattice_mod
 from quasicross import search as search_mod
 from quasicross import splitting as split_mod
 from quasicross.cli import build_parser, main
@@ -123,6 +124,15 @@ def test_lattice_on_a_non_packing_exits_1(capsys, tmp_path):
     path.write_text(to_json(make_cyclic_splitting(7, 2, 1, [1, 2])), encoding="utf-8")
     err = "not a packing: collision 2*1 = 1*2 = 2\n"
     assert run_cli(capsys, "lattice", str(path)) == (1, "", err)
+
+
+def test_lattice_of_z390625_is_refused_before_its_text(tmp_path):
+    # n = 97,656: the dense basis would have been about 28.6 GB of text
+    path = tmp_path / "z390625.json"
+    path.write_text(to_json(cyclic_splitting(5, 8, 3, 1)), encoding="utf-8")
+    proc = cli_in_512_mib("lattice", str(path))
+    err = f"error: the lattice JSON needs {97656**2} entries, more than {lattice_mod.LATTICE_JSON_MAX_ENTRIES}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", err)
 
 
 NON_PACKING = json.dumps({"orders": [17], "k_plus": 3, "k_minus": 2, "splitters": [[1], [2]]})

@@ -30,6 +30,7 @@ from quasicross import (
     two_one_splitting,
     verify_packing,
 )
+from quasicross import lattice as lattice_mod
 from quasicross.cli import main
 from quasicross.intlinalg import bareiss_det, hnf_lower
 
@@ -325,6 +326,13 @@ def test_lattice_json_round_trip():
     assert lattice_from_json(text) == lat
     with pytest.raises(ValueError):
         lattice_from_json('{"rows": []}')
+
+
+def test_lattice_json_refuses_more_entries_than_its_limit(monkeypatch):
+    monkeypatch.setattr(lattice_mod, "LATTICE_JSON_MAX_ENTRIES", 4)
+    assert lattice_to_json(IntegerLattice(((4, 1), (3, 5)))) == '{"basis": [[4, 1], [3, 5]]}'
+    with pytest.raises(ValueError, match="^the lattice JSON needs 9 entries, more than 4$"):
+        lattice_to_json(IntegerLattice(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
 
 
 def test_hnf_lower_properties():

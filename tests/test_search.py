@@ -360,20 +360,17 @@ NAN_LIMIT = "time limit must be a number of seconds, got nan"
          "time limit must be a number of seconds, got -1.0"),
         ([*SURVEY_3_30, "--time-limit", "-1"], "time limit must be a number of seconds, got -1.0"),
         ([*SURVEY_3_30, "--time-limit=-inf"], "time limit must be a number of seconds, got -inf"),
-        ([*SURVEY_3_30, "--jobs", "0"], "jobs must be >= 1, got 0"),
-        ([*SURVEY_3_30, "--jobs", "-4"], "jobs must be >= 1, got -4"),
         (["survey", "--kmax", "1"], "no instance with n >= 2 has k_plus <= 1 and q <= 100"),
         (["survey", "--kmax", "3", "--qmax", "-5"], "no instance with n >= 2 has k_plus <= 3 and q <= -5"),
         (["survey", "--kmax", "3", "--qmax", "6"], "no instance with n >= 2 has k_plus <= 3 and q <= 6"),
     ],
     ids=["search-nan", "survey-nan", "search-negative", "survey-negative", "survey-minus-inf",
-         "survey-jobs-0", "survey-jobs-minus-4", "survey-kmax-1", "survey-qmax-minus-5", "survey-qmax-6"],
+         "survey-kmax-1", "survey-qmax-minus-5", "survey-qmax-6"],
 )
 def test_nan_time_limit_and_jobs_below_1_exit_2_before_any_search(capsys, monkeypatch, argv, error):
     # every comparison with nan is false, so a nan limit never ran out, a
     # negative one ran out in the first search after logging the ruled-out
-    # rows before it, a job count below 1 ran the survey serially, and an
-    # empty grid printed a bare CSV header
+    # rows before it, and an empty grid printed a bare CSV header
     def searched(*args):
         raise AssertionError("searched")
 
@@ -381,6 +378,23 @@ def test_nan_time_limit_and_jobs_below_1_exit_2_before_any_search(capsys, monkey
     monkeypatch.setattr(search_mod, "_run_instance", searched)
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_survey_jobs_is_an_unrecognized_argument(capsys, monkeypatch):
+    # the survey runs in one process and takes no worker count
+    monkeypatch.setattr(search_mod, "_run_instance", lambda *args: pytest.fail("searched"))
+    with pytest.raises(SystemExit) as exit_:
+        main([*SURVEY_3_30, "--jobs", "2"])
+    out, err = capsys.readouterr()
+    assert (exit_.value.code, out) == (2, "")
+    assert err.endswith("quasicross: error: unrecognized arguments: --jobs 2\n")
+
+
+@pytest.mark.parametrize("jobs", [0, 2, -4])
+def test_survey_takes_jobs_1_only_and_refuses_others_before_any_search(monkeypatch, jobs):
+    monkeypatch.setattr(search_mod, "_cover_blocks", lambda *args: pytest.fail("searched"))
+    with pytest.raises(ValueError, match=f"the survey runs in one process: jobs must be 1, got {jobs}"):
+        survey(k_max=3, q_max=30, jobs=jobs)
 
 
 def search_in_512_mib(*flags: str) -> subprocess.CompletedProcess:
@@ -527,15 +541,6 @@ def test_survey_pruned_and_full_agree_on_tilings():
     assert hits(pruned) == hits(full)
 
 
-def test_survey_parallel_matches_serial():
-    serial = survey(k_max=3, q_max=40)
-    parallel = survey(k_max=3, q_max=40, jobs=2)
-    strip = lambda rows: [
-        (r.k_plus, r.k_minus, r.q, r.n, r.ruled_out, r.searched, r.tilings) for r in rows
-    ]
-    assert strip(serial) == strip(parallel)
-
-
 def test_survey_progress_resume(tmp_path):
     log = tmp_path / "progress.jsonl"
     first = survey(k_max=2, q_max=30, progress_path=str(log))
@@ -588,25 +593,17 @@ def test_survey_log_bytes_unchanged(monkeypatch, tmp_path, prune):
     assert logged(log) == rows
 
 
-def test_survey_log_same_rows_in_parallel(tmp_path):
-    serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-    survey(k_max=3, q_max=40, prune_with_bounds=False, progress_path=str(serial))
-    survey(k_max=3, q_max=40, prune_with_bounds=False, jobs=2, progress_path=str(parallel))
-    assert strip(logged(parallel)) == strip(logged(serial))
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_survey_timeout_keeps_finished_rows(tmp_path, jobs):
+def test_survey_timeout_keeps_finished_rows(tmp_path):
     # pruned, the grid opens with three ruled-out rows that need no
     # search; a 1 ns limit then stops the first search, (2,1,16)
     fresh = strip(survey(k_max=2, q_max=70))
     log = tmp_path / "progress.jsonl"
     with pytest.raises(SearchTimeout):
-        survey(k_max=2, q_max=70, jobs=jobs, time_limit=1e-9, progress_path=str(log))
+        survey(k_max=2, q_max=70, time_limit=1e-9, progress_path=str(log))
     kept = strip(logged(log))
     assert 3 <= len(kept) < len(fresh)
     assert kept == fresh[: len(kept)]
-    resumed = survey(k_max=2, q_max=70, jobs=jobs, progress_path=str(log))
+    resumed = survey(k_max=2, q_max=70, progress_path=str(log))
     assert strip(resumed) == fresh
     assert strip(logged(log)) == fresh
 
@@ -748,12 +745,11 @@ def test_survey_killed_process_resumes(tmp_path):
     assert strip(logged(log)) == strip(resumed)
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_survey_interrupted_by_sigint_exits_130_and_resumes(tmp_path, jobs):
+def test_survey_interrupted_by_sigint_exits_130_and_resumes(tmp_path):
     # SIGINT as `timeout -s INT` sends it: to the survey process, then to
-    # its whole process group, workers included
+    # its whole process group, so the process is signalled twice
     log = tmp_path / "progress.jsonl"
-    argv = ["survey", "--kmax", "3", "--qmax", "100", "--no-prune", "--jobs", jobs]
+    argv = ["survey", "--kmax", "3", "--qmax", "100", "--no-prune"]
     proc, flag = held_survey(
         tmp_path, [*argv, "--progress", str(log)],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True,
