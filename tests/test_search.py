@@ -32,7 +32,7 @@ from quasicross import (
     verify_packing,
 )
 from quasicross import search as search_mod
-from quasicross.cli import main
+from quasicross.cli import build_parser, main
 from quasicross.search import survey_instances
 from quasicross.splitting import MultiplierSet, Singularity
 
@@ -351,6 +351,12 @@ SURVEY_3_30 = ["survey", "--kmax", "3", "--qmax", "30"]
 NAN_LIMIT = "time limit must be a number of seconds, got nan"
 
 
+def unrecognized(jobs: str) -> str:
+    """argparse's stderr for `survey --jobs <jobs>`: the survey runs in one
+    process and takes no worker count."""
+    return f"{build_parser().format_usage()}quasicross: error: unrecognized arguments: --jobs {jobs}\n"
+
+
 @pytest.mark.parametrize(
     "argv,error",
     [
@@ -360,34 +366,34 @@ NAN_LIMIT = "time limit must be a number of seconds, got nan"
          "time limit must be a number of seconds, got -1.0"),
         ([*SURVEY_3_30, "--time-limit", "-1"], "time limit must be a number of seconds, got -1.0"),
         ([*SURVEY_3_30, "--time-limit=-inf"], "time limit must be a number of seconds, got -inf"),
+        ([*SURVEY_3_30, "--jobs", "0"], None),
+        ([*SURVEY_3_30, "--jobs", "-4"], None),
+        ([*SURVEY_3_30, "--jobs", "2"], None),
         (["survey", "--kmax", "1"], "no instance with n >= 2 has k_plus <= 1 and q <= 100"),
         (["survey", "--kmax", "3", "--qmax", "-5"], "no instance with n >= 2 has k_plus <= 3 and q <= -5"),
         (["survey", "--kmax", "3", "--qmax", "6"], "no instance with n >= 2 has k_plus <= 3 and q <= 6"),
     ],
     ids=["search-nan", "survey-nan", "search-negative", "survey-negative", "survey-minus-inf",
-         "survey-kmax-1", "survey-qmax-minus-5", "survey-qmax-6"],
+         "survey-jobs-0", "survey-jobs-minus-4", "survey-jobs-2", "survey-kmax-1", "survey-qmax-minus-5",
+         "survey-qmax-6"],
 )
 def test_nan_time_limit_and_jobs_below_1_exit_2_before_any_search(capsys, monkeypatch, argv, error):
     # every comparison with nan is false, so a nan limit never ran out, a
     # negative one ran out in the first search after logging the ruled-out
-    # rows before it, and an empty grid printed a bare CSV header
+    # rows before it, and an empty grid printed a bare CSV header; --jobs
+    # (error None) is an unrecognized argument, refused by argparse
     def searched(*args):
         raise AssertionError("searched")
 
     monkeypatch.setattr(search_mod, "_cover_blocks", searched)
     monkeypatch.setattr(search_mod, "_run_instance", searched)
-    assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"error: {error}\n")
-
-
-def test_survey_jobs_is_an_unrecognized_argument(capsys, monkeypatch):
-    # the survey runs in one process and takes no worker count
-    monkeypatch.setattr(search_mod, "_run_instance", lambda *args: pytest.fail("searched"))
-    with pytest.raises(SystemExit) as exit_:
-        main([*SURVEY_3_30, "--jobs", "2"])
-    out, err = capsys.readouterr()
-    assert (exit_.value.code, out) == (2, "")
-    assert err.endswith("quasicross: error: unrecognized arguments: --jobs 2\n")
+    if error is None:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        code, stderr = exit_.value.code, unrecognized(argv[-1])
+    else:
+        code, stderr = main(argv), f"error: {error}\n"
+    assert (code, capsys.readouterr()) == (2, ("", stderr))
 
 
 @pytest.mark.parametrize("jobs", [0, 2, -4])
