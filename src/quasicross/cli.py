@@ -122,6 +122,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_lattice(args) -> int:
     sp = _read_splitting(args.splitting)
+    lattice_mod.check_json_size(len(sp.splitters))  # before the scan: a non-packing past it exits 2
     check = split_mod.verify_packing(sp)
     if not check.ok:
         print(f"not a packing: collision {check.collision.describe()}", file=sys.stderr)

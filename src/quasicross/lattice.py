@@ -195,14 +195,19 @@ def geometric_check(sp: Splitting, lat: IntegerLattice | None = None) -> Geometr
 # --- JSON wire format -------------------------------------------------------
 
 
+def check_json_size(n: int) -> None:
+    """Refuse an n x n basis, n = |splitters| for a kernel lattice, past LATTICE_JSON_MAX_ENTRIES."""
+    if n * n > LATTICE_JSON_MAX_ENTRIES:
+        raise ValueError(f"the lattice JSON needs {n * n} entries, more than {LATTICE_JSON_MAX_ENTRIES}")
+
+
 def lattice_to_json(lat: IntegerLattice) -> str:
     """`{"basis": [[...], ...]}`, the bytes of `json.dumps` of the dense
     rows, written from their sparse pairs in one join: each run of zeros
     is a slice of one "0, " * n before an entry or of one ", 0" * n after
     a row's last entry, and a zero row is that tail less its first ", "."""
     n = lat.n
-    if n * n > LATTICE_JSON_MAX_ENTRIES:
-        raise ValueError(f"the lattice JSON needs {n * n} entries, more than {LATTICE_JSON_MAX_ENTRIES}")
+    check_json_size(n)
     zeros, tail = "0, " * n, ", 0" * n
     out = ['{"basis": [']
     for row in lat.rows:

@@ -22,6 +22,19 @@ nonzero residues.  The covered residues and the still-live splitters
   exactly one e with d | e | u.  So C_d is the mask of d less the
   disjoint C_e of the proper multiples e of d dividing u, made largest
   d first; C_u also drops 0, which is in the mask of u as gcd(0, u) = u.
+* The layer rule, a layered form of the same argument.  For a nonempty
+  set P of the primes p | q with p <= k_plus, M_P is the multipliers no
+  prime in P divides, and U_P = {x : no p in P divides x} misses 0.  For
+  a prime p | q, p | m*s mod q iff p | m or p | s, so a block M*s meets
+  U_P in M_P*s if s is in U_P and misses it otherwise: in a tiling the
+  M_P*s cover U_P exactly once.  Each lies in one class {x in U_P :
+  gcd(x, u) = d}, as above, of size L_P * phi(u/d) by CRT, where L_P =
+  prod_{p in P} phi(p^a) * prod_{p not in P} p^a over the primes
+  p <= k_plus of q, p^a the full power of p in q.  So the rule is
+  |M_P| | L_P, and |M_P| is the sum over T in P, t = prod T, of
+  (-1)^|T| (k_plus//t + k_minus//t): 3^r terms over every P.  The rule
+  runs after the cover-mask budget test, so every order past it is
+  refused alike, and there q <= 28,284 has r <= 5 primes.
 * 1 is fixed in S.  The splitter whose block covers 1 is a unit s, and
   s^-1 * S is a tiling that contains 1, so every unit-scaling orbit has
   members holding 1 and the search enumerates only those.  The rest of
@@ -89,6 +102,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import reduce
 from io import StringIO
+from itertools import combinations
 from math import gcd, inf, prod
 from operator import or_
 
@@ -121,12 +135,9 @@ def _check_time_limit(time_limit: float | None) -> None:
 def _cover_blocks(q: int, multipliers: MultiplierSet, check_clock) -> list[int]:
     """Per residue p, the bitmask of the valid splitters whose block holds
     p, built from the positive multiples alone (both facts in the module
-    docstring).  The masks take about q^2/8 bytes: an order over
-    COVER_MASKS_MAX_BYTES is refused before any is made, and the deadline
-    is checked once per multiplier pass."""
-    if q * q // 8 > COVER_MASKS_MAX_BYTES:
-        raise ValueError(f"search over Z_{q} needs about {q * q // 8} bytes of cover masks, "
-                         f"more than {COVER_MASKS_MAX_BYTES}")
+    docstring).  The masks take about q^2/8 bytes, which `search_tilings`
+    checks against COVER_MASKS_MAX_BYTES first; the deadline is checked
+    once per multiplier pass."""
     span = len(multipliers)
     valid = [s for s in range(1, q) if gcd(s, q) * span < q]  # ord(s) > span
     holders = [0] * q
@@ -188,6 +199,22 @@ def _class_sizes(q: int, k_plus: int) -> tuple[int, dict[int, int]]:
     return u, {u // e: q // u * f - (e == 1) for e, f in phi.items()}
 
 
+def _layer_witness(q: int, multipliers: MultiplierSet) -> tuple[tuple[int, ...], int, int] | None:
+    """The first (P, L_P, |M_P|) whose layer rule fails, |M_P| not dividing
+    L_P, over the nonempty sets P of the primes p | q with p <= k_plus,
+    smaller sets first, or None (module docstring)."""
+    k_plus, k_minus = multipliers.k_plus, multipliers.k_minus
+    powers = {p: gcd(q, p ** q.bit_length()) for p in prime_factors(q) if p <= k_plus}
+    for size in range(1, len(powers) + 1):
+        for P in combinations(powers, size):
+            kept = sum((-1) ** len(T) * (k_plus // prod(T) + k_minus // prod(T))
+                       for r in range(size + 1) for T in combinations(P, r))
+            layer = prod(a - a // p if p in P else a for p, a in powers.items())
+            if layer % kept:
+                return P, layer, kept
+    return None
+
+
 def _class_masks(q: int, divisors) -> dict[int, int]:
     """C_d as a bitmask for each d among `divisors`, the divisors of u, by
     inclusion-exclusion over the masks of multiples (module docstring)."""
@@ -214,8 +241,10 @@ def search_tilings(
     is returned, which exposes full orbit sizes.  find_all=False stops
     at the first solution.  Returns [] when k_plus+k_minus does not
     divide the size of every gcd class (no tiling can exist by counting;
-    see the module docstring).  A find-all refuses with ValueError, from
-    their exact count, more than FIND_ALL_MAX_TILINGS raw tilings that hold 1.
+    see the module docstring), or the layer rule fails for some P.  An
+    order whose cover masks pass COVER_MASKS_MAX_BYTES is refused with
+    ValueError before the layer rule, and a find-all refuses, from their
+    exact count, more than FIND_ALL_MAX_TILINGS raw tilings that hold 1.
     """
     _check_time_limit(time_limit)
     deadline = time.monotonic() + time_limit if time_limit is not None else None
@@ -229,6 +258,11 @@ def search_tilings(
     _, sizes = _class_sizes(q, multipliers.k_plus)
     check_clock()
     if any(size % len(multipliers) for size in sizes.values()):
+        return []
+    if q * q // 8 > COVER_MASKS_MAX_BYTES:
+        raise ValueError(f"search over Z_{q} needs about {q * q // 8} bytes of cover masks, "
+                         f"more than {COVER_MASKS_MAX_BYTES}")
+    if _layer_witness(q, multipliers):
         return []
     holders = _cover_blocks(q, multipliers, check_clock)
     full = (1 << q) - 2  # residues 1..q-1

@@ -7,6 +7,7 @@ the package under test, so agreement is meaningful.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
@@ -183,6 +184,28 @@ def product_sets(k_plus: int, k_minus: int, q: int) -> dict[int, set[int]]:
         if 0 not in prods and len(prods) == len(ms):
             out[s] = prods
     return out
+
+
+def layer_witness(q: int, k_plus: int, k_minus: int):
+    """The first nonempty set P of the primes p | q with p <= k_plus
+    (smaller sets first, each ascending) for which |M_P|, the multipliers
+    divisible by no prime in P, fails to divide the size of some class
+    {x in [0, q) : no p in P divides x, gcd(x, u) = d}, u the part of q
+    made of its primes above k_plus, as (P, the smallest class size,
+    |M_P|); None when there is none.  Every class is counted residue by
+    residue."""
+    small = [p for p in range(2, k_plus + 1) if q % p == 0 and all(p % f for f in range(2, p))]
+    u = q
+    for p in small:
+        while u % p == 0:
+            u //= p
+    for size in range(1, len(small) + 1):
+        for primes in combinations(small, size):
+            kept = sum(1 for m in multiplier_list(k_plus, k_minus) if all(m % p for p in primes))
+            classes = Counter(gcd(x, u) for x in range(q) if all(x % p for p in primes))
+            if any(c % kept for c in classes.values()):
+                return primes, min(classes.values()), kept
+    return None
 
 
 def reference_search(k_plus: int, k_minus: int, q: int, find_all: bool = True):

@@ -135,6 +135,24 @@ def test_lattice_of_z390625_is_refused_before_its_text(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", err)
 
 
+@pytest.mark.parametrize(
+    "count,code,err",
+    [(5000, 1, "not a packing: collision 2*1 = 1*2 = 2\n"),
+     (5001, 2, "error: the lattice JSON needs 25010001 entries, more than 25000000\n")],
+    ids=["5000-collision", "5001-refused"],
+)
+def test_lattice_refuses_from_the_splitter_count_before_the_scan(capsys, monkeypatch, tmp_path, count, code, err):
+    # n = |splitters| decides the refusal, so past 5,000 splitters even a
+    # non-packing exits 2 before its collision's exit 1, and makes no product
+    path = tmp_path / "np.json"
+    data = {"orders": [100003], "k_plus": 2, "k_minus": 1, "splitters": [[s] for s in range(1, count + 1)]}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    scans, scan = [], split_mod._scan_products
+    monkeypatch.setattr(split_mod, "_scan_products", lambda sp: scans.append(sp) or scan(sp))
+    assert run_cli(capsys, "lattice", str(path)) == (code, "", err)
+    assert len(scans) == (code == 1)
+
+
 NON_PACKING = json.dumps({"orders": [17], "k_plus": 3, "k_minus": 2, "splitters": [[1], [2]]})
 
 

@@ -185,6 +185,50 @@ def test_cover_blocks_match_the_brute_product_sets(k_plus):
             assert len(clock_checks) == k_plus  # once per multiplier pass
 
 
+@pytest.mark.parametrize("k_plus", range(2, 11))
+def test_layer_witness_matches_a_count_of_each_class(k_plus):
+    # L_P and |M_P| in closed form against every class of every layer
+    # counted residue by residue, each P up to the first that fails
+    for k_minus in range(1, k_plus):
+        multipliers = MultiplierSet(k_plus, k_minus)
+        for q in range(2, 301):
+            assert search_mod._layer_witness(q, multipliers) == oracles.layer_witness(q, k_plus, k_minus)
+
+
+def decided_by_the_layer_rule(k_max, q_max):
+    """The grid instances that pass the size test and fail the layer rule."""
+    decided = []
+    for k_plus, k_minus, q in survey_instances(k_max, q_max):
+        _, sizes = search_mod._class_sizes(q, k_plus)
+        if not any(size % (k_plus + k_minus) for size in sizes.values()):
+            if search_mod._layer_witness(q, MultiplierSet(k_plus, k_minus)):
+                decided.append((k_plus, k_minus, q))
+    return decided
+
+
+def test_no_instance_the_layer_rule_decides_has_a_tiling(monkeypatch):
+    decided = decided_by_the_layer_rule(10, 1000)
+    assert len(decided) == 217
+    monkeypatch.setattr(search_mod, "_layer_witness", lambda *args: None)
+    assert [key for key in decided if search_tilings(*key, find_all=False)] == []
+
+
+def test_the_layer_rule_decides_54_grid_instances_before_the_set_up(monkeypatch):
+    decided = decided_by_the_layer_rule(10, 100)
+    assert len(decided) == 54
+    assert {(4, 1, 16), (3, 2, 81), (5, 2, 50), (10, 9, 96)} <= set(decided)
+    built, cover_blocks = [], search_mod._cover_blocks
+
+    def counted(q, multipliers, check_clock):
+        built.append((multipliers.k_plus, multipliers.k_minus, q))
+        return cover_blocks(q, multipliers, check_clock)
+
+    monkeypatch.setattr(search_mod, "_cover_blocks", counted)
+    rows = survey(10, 100, prune_with_bounds=False)
+    assert len(built) == 206 and not set(built) & set(decided)
+    assert all(not row.tilings for row in rows if (row.k_plus, row.k_minus, row.q) in decided)
+
+
 @st.composite
 def residue_sets(draw):
     """q <= 60 and a subset of Z_q, drawn either from all of Z_q or from
@@ -251,6 +295,15 @@ SINGULAR = [(2, 1, q) for q in range(4, 65, 4)] + [(4, 1, 16), (3, 2, 16)]
 
 @pytest.mark.parametrize("k_plus,k_minus,q", SINGULAR)
 def test_search_matches_the_reference_on_singular_instances(k_plus, k_minus, q):
+    assert_matches_reference(k_plus, k_minus, q)
+
+
+@pytest.mark.parametrize("k_plus,k_minus,q", [(4, 1, 16), (3, 2, 16)])
+def test_search_without_the_layer_rule_matches_the_reference(monkeypatch, k_plus, k_minus, q):
+    # the layer rule decides these two before the set-up; with it patched
+    # out, the memo and the DFS still meet singular instances with no tiling
+    assert search_mod._layer_witness(q, MultiplierSet(k_plus, k_minus)) is not None
+    monkeypatch.setattr(search_mod, "_layer_witness", lambda *args: None)
     assert_matches_reference(k_plus, k_minus, q)
 
 
@@ -435,6 +488,16 @@ def test_search_refuses_an_order_whose_cover_masks_pass_the_budget():
     err = b"error: search over Z_64033 needs about 512528136 bytes of cover masks, more than 100000000\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err)
     assert 64033**2 // 8 > search_mod.COVER_MASKS_MAX_BYTES >= 28279**2 // 8
+
+
+def test_the_cover_mask_budget_is_checked_before_the_layer_rule():
+    # P = {2}: |M_P| = |{-1, 1, 3}| = 3 does not divide phi(2^16), so the
+    # rule decides (4,1,65536), but its masks pass the budget, and every
+    # order past it is refused alike
+    assert search_mod._layer_witness(65536, MultiplierSet(4, 1)) == ((2,), 32768, 3)
+    proc = cli_in_512_mib("search", "--kplus", "4", "--kminus", "1", "--q", "65536")
+    err = b"error: search over Z_65536 needs about 536870912 bytes of cover masks, more than 100000000\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err)
 
 
 def test_search_refuses_a_huge_find_all_from_its_count():
