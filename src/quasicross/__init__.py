@@ -40,7 +40,6 @@ from .search import (
     survey,
     survey_csv,
     survey_summary,
-    unit_orbit_canonical,
 )
 from .splitting import (
     Collision,

@@ -68,10 +68,6 @@ class FiniteAbelianGroup:
         object.__setattr__(self, "orders", orders)
 
     @property
-    def rank(self) -> int:
-        return len(self.orders)
-
-    @property
     def order(self) -> int:
         """|G|, the number of elements."""
         return prod(self.orders)
@@ -89,10 +85,6 @@ class FiniteAbelianGroup:
     def is_cyclic_form(self) -> bool:
         """True when represented with a single cyclic factor."""
         return len(self.orders) == 1
-
-    def element(self, residues) -> Element:
-        """Validate and reduce a residue sequence into this group."""
-        return self.elements_of([residues])[0]
 
     def elements_of(self, batch) -> tuple[Element, ...]:
         """Validate and reduce residue sequences into this group, one

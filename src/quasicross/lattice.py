@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
-from operator import mul
 
 from .groups import integers
 from .intlinalg import SparseRow, hnf_lower, kernel_hnf, pivot_projection, reduce_mod_lattice
@@ -84,14 +83,6 @@ class IntegerLattice:
     @cached_property
     def _hnf(self) -> IntegerLattice:
         return IntegerLattice.from_rows(_sparse(hnf_lower([list(r) for r in self.basis])))
-
-    def contains(self, vector) -> bool:
-        vec = integers(vector, "vector entries")
-        if len(vec) != self.n:
-            raise ValueError("vector dimension mismatch")
-        hnf = self.hnf().rows
-        batch = {p: [sum(map(mul, col, vec))] for p, col in pivot_projection(hnf).items()}
-        return not any(reduce_mod_lattice(hnf, batch))
 
 
 def _sparse(dense) -> tuple[SparseRow, ...]:

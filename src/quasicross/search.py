@@ -78,9 +78,9 @@ k_plus + k_minus = |M|, and ord(s) = q/gcd(s, q) for the order of s.
 * The orbit minimum from the unit splitters.  A unit scaling permutes
   Z_q and fixes 0, so the sorted members of an orbit hold the same
   number of zeros, and after them a tuple holding 1 is smaller than one
-  without.  u*s = 1 only for a unit s and u = s^-1.  So when S holds a
-  unit, the smallest member is u*S for u = s^-1 with s a unit of S; only
-  when S holds none must every unit be tried.
+  without.  u*s = 1 only for a unit s and u = s^-1.  So for S holding
+  1, the members holding 1 are exactly u*S for u = s^-1 with s a unit
+  of S, and the smallest member is among them.
 
 Nonsingular q, every prime of q above k_plus: M splits Z_q exactly when
 it splits Z_p for each prime p | q.  Necessity: a unit m keeps the order
@@ -156,33 +156,20 @@ def _scaled(q: int, u: int, values) -> tuple[int, ...]:
     return tuple(sorted(u * s % q for s in values))
 
 
-def _orbit_min(q: int, sets, check_clock=lambda: None) -> list[tuple[int, ...]]:
+def _orbit_min(q: int, sets, check_clock) -> list[tuple[int, ...]]:
     """Each unit-scaling orbit's minimum among the sorted tuples `sets`,
-    once, in first-met order.  An orbit's members are built once: u*S for
-    the inverses u of the units of S, or every unit multiple when S holds
-    none (module docstring); a later set among them is skipped.  The
-    deadline is checked once per orbit."""
-    seen, minima = set(), {}
+    which all hold 1, once, in first-met order.  The members of the orbit
+    of S that hold 1 are u*S for the inverses u of the units of S (module
+    docstring); they are struck from the sets still left, so no member
+    outlives its orbit.  The deadline is checked once per orbit."""
+    left, minima = set(sets), []
     for values in sets:
-        if values not in seen:
+        if values in left:
             check_clock()
-            inverses = [pow(s, -1, q) for s in values if gcd(s, q) == 1]
-            members = {_scaled(q, u, values) for u in inverses or range(1, q) if gcd(u, q) == 1}
-            seen |= members
-            minima[min(members)] = None
-    return list(minima)
-
-
-def unit_orbit_canonical(sp: Splitting) -> Splitting:
-    """Canonical representative of a cyclic splitting under unit scaling:
-    the lexicographically smallest sorted splitter tuple over all unit
-    multiples.  Two splittings are unit-equivalent iff their canonical
-    forms coincide."""
-    if not sp.group.is_cyclic_form:
-        raise ValueError("unit_orbit_canonical is defined for cyclic groups only")
-    q = sp.group.orders[0]
-    [best] = _orbit_min(q, [sp.splitter_values()])
-    return make_cyclic_splitting(q, sp.multipliers.k_plus, sp.multipliers.k_minus, best)
+            members = {_scaled(q, pow(s, -1, q), values) for s in values if gcd(s, q) == 1}
+            left -= members
+            minima.append(min(members))
+    return minima
 
 
 def _class_sizes(q: int, k_plus: int) -> tuple[int, dict[int, int]]:

@@ -362,6 +362,9 @@ def test_plot_malformed_lattice_exit_2(capsys, tmp_path, name):
     "argv,error",
     [
         (["construct", "balance"], "construct balance needs --beta, a fraction like 2/3"),
+        (["construct", "balance", "--beta", "2/x"], "--beta expects a fraction like 2/3, got '2/x'"),
+        (["construct", "balance", "--beta", "2"], "--beta expects a fraction like 2/3, got '2'"),
+        (["construct", "balance", "--beta", "1/2/3"], "--beta expects a fraction like 2/3, got '1/2/3'"),
         (["plot"], "plot needs --splitting, or --lattice with --kplus/--kminus"),
         (["encode", "--code", "CODE", "--levels", "17", "--info", "2", "--t", "0", "0"], "need 1 quotient digits"),
         (["construct", "cyclic"], "construct cyclic needs --p"),
@@ -379,10 +382,10 @@ def test_plot_malformed_lattice_exit_2(capsys, tmp_path, name):
         (["plot", "--splitting", "CODE", "--window", "20000"],
          "window 20000 would draw about 1035345883 cells, more than 1000000"),
     ],
-    ids=["balance-without-beta", "plot-without-input", "encode-two-t-digits", "cyclic-without-p",
-         "field-without-kplus", "mixed-without-kminus", "bounds-n-and-q", "plot-negative-window",
-         "plot-splitting-and-lattice", "plot-zero-arms", "plot-splitting-with-arms",
-         "plot-over-budget"],
+    ids=["balance-without-beta", "beta-not-a-number", "beta-without-slash", "beta-two-slashes",
+         "plot-without-input", "encode-two-t-digits", "cyclic-without-p", "field-without-kplus",
+         "mixed-without-kminus", "bounds-n-and-q", "plot-negative-window", "plot-splitting-and-lattice",
+         "plot-zero-arms", "plot-splitting-with-arms", "plot-over-budget"],
 )
 def test_missing_or_extra_input_exits_2_with_one_error_line(capsys, tmp_path, z17_json, argv, error):
     # `construct balance` without --beta used to end in an AttributeError

@@ -241,7 +241,7 @@ def codec_argvs(path: str, levels: int) -> dict[str, list[str]]:
     sent clean and hit by -k_minus at the middle coordinate."""
     with open(path, encoding="utf-8") as fh:
         sp = from_json(fh.read())
-    k = sp.group.rank
+    k = len(sp.group.orders)
     info = [(i * i + 3 * i + 1) % levels for i in range(sp.n - k)]
     quotients = [levels // sp.group.orders[0] - 1] * k
     base = ["--code", path, "--levels", str(levels)]

@@ -26,7 +26,6 @@ from quasicross import (
     period,
     search_tilings,
     two_one_splitting,
-    unit_orbit_canonical,
 )
 from quasicross.bounds import shape_feasibility
 from quasicross.groups import prime_factors
@@ -60,10 +59,9 @@ def test_scalar_mul_examples():
 
 def test_element_reduction_and_validation():
     z6 = cyclic_group(6)
-    assert z6.element((13,)) == (1,)
-    assert z6.element((-1,)) == (5,)
+    assert z6.elements_of([(13,), (-1,)]) == ((1,), (5,))
     with pytest.raises(ValueError):
-        z6.element((1, 2))
+        z6.elements_of([(1, 2)])
 
 
 def element_orders(group, elements) -> tuple[int, ...]:
@@ -145,11 +143,10 @@ class Index:
 # each builder puts x where the constructor needs an integer; x = valid is accepted
 INTEGER_GATES = {
     "FiniteAbelianGroup": (lambda x: FiniteAbelianGroup((17, x)), 9),
-    "element": (lambda x: cyclic_group(17).element((x,)), 3),
+    "element": (lambda x: cyclic_group(17).elements_of([(x,)])[0], 3),
     "MultiplierSet": (lambda x: MultiplierSet(x, 1), 3),
     "QuasiCrossShape": (lambda x: QuasiCrossShape(3, 1, x), 2),
     "IntegerLattice": (lambda x: IntegerLattice([[x, 0], [1, 3]]), 2),
-    "contains": (lambda x: IntegerLattice([[2, 0], [1, 3]]).contains([x, 0]), 2),
     "search_tilings": (lambda x: search_tilings(2, 1, x), 16),
     "make_cyclic_splitting": (lambda x: make_cyclic_splitting(17, 3, 2, [x, 13]), 1),
     # the rules and the constructions used to validate an __index__ number
@@ -171,9 +168,8 @@ INTEGER_GATES = {
 @pytest.mark.parametrize("name", INTEGER_GATES)
 @pytest.mark.parametrize("bad", [0.5, "1", None, Fraction(1, 2)], ids=["float", "str", "None", "Fraction"])
 def test_constructors_reject_non_integers(name, bad):
-    # int() used to truncate: FiniteAbelianGroup((17.5,)) was Z17,
-    # QuasiCrossShape(3, 1, 2.5) had volume 11.0, and
-    # IntegerLattice([[2, 0], [1, 3]]).contains([17.9, 0]) was True
+    # int() used to truncate: FiniteAbelianGroup((17.5,)) was Z17, and
+    # QuasiCrossShape(3, 1, 2.5) had volume 11.0
     build, valid = INTEGER_GATES[name]
     with pytest.raises(ValueError, match="must be integers"):
         build(valid + bad if isinstance(bad, float) else bad)
@@ -193,14 +189,14 @@ PRECONDITIONS = {
     "QuasiCrossShape": (lambda: QuasiCrossShape(3, 1, 0), "dimension must be >= 1"),
     "Splitting": (lambda: Splitting(cyclic_group(17), MultiplierSet(3, 2), ()), "splitter set must be non-empty"),
     "splitter_values": (lambda: Z5_SQUARED.splitter_values(), "splitter_values needs a cyclic group"),
-    "unit_orbit_canonical": (lambda: unit_orbit_canonical(Z5_SQUARED),
-                             "unit_orbit_canonical is defined for cyclic groups only"),
     "two_one_splitting": (lambda: two_one_splitting(0), "ell must be >= 1"),
     "matrix_extension_base": (lambda: matrix_extension(Z5_SQUARED, 2),
                               "matrix_extension needs a base splitting of a cyclic group"),
     "matrix_extension_k": (lambda: matrix_extension(cyclic_splitting(5, 1, 3, 1), 0), "k must be >= 1"),
     "IntegerLattice": (lambda: IntegerLattice([[2, 0, 0], [1, 3, 0]]), "basis must be a non-empty square matrix"),
-    "contains": (lambda: IntegerLattice([[2, 0], [1, 3]]).contains([2, 0, 0]), "vector dimension mismatch"),
+    "Splitting_residues": (lambda: Splitting(cyclic_group(17), MultiplierSet(3, 2), (5,)),
+                           "element residues must be integers"),
+    "prime_factors": (lambda: prime_factors(0), "prime_factors needs n >= 1"),
 }
 
 
