@@ -121,8 +121,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    sp = _read_splitting(args.splitting)
-    lattice_mod.check_json_size(len(sp.splitters))  # before the scan: a non-packing past it exits 2
+    with open(args.splitting, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if isinstance(data, dict) and isinstance(data.get("splitters"), list):
+        lattice_mod.check_json_size(len(data["splitters"]))  # before any entry is validated or scanned
+    sp = split_mod.from_json_dict(data)
     check = split_mod.verify_packing(sp)
     if not check.ok:
         print(f"not a packing: collision {check.collision.describe()}", file=sys.stderr)

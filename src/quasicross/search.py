@@ -35,6 +35,18 @@ nonzero residues.  The covered residues and the still-live splitters
   (-1)^|T| (k_plus//t + k_minus//t): 3^r terms over every P.  The rule
   runs after the cover-mask budget test, so every order past it is
   refused alike, and there q <= 28,284 has r <= 5 primes.
+* The cyclotomic rule, for q whose primes all exceed k_plus: T1 of
+  Coven and Meyerowitz ("Tiling the integers with translates of one
+  finite set", 1999).  For p | q the splitters of order p split the
+  order-p subgroup (necessity, below): M*S = Z_p^*, and logs to a
+  generator g make it A + B = Z_N, N = p - 1, A = log M.  So A(x)B(x) =
+  1 + ... + x^(N-1) mod x^N - 1, and each Phi_s, 1 < s | N, divides A(x)
+  or B(x).  At 1, Phi_s(1) = r for s = r^k, else 1, N = prod r over the
+  s = r^k | N, and the quotients are positive, so |A| = prod r over the
+  s = r^k with Phi_s | A(x), that is, with the counts of A mod r^k equal
+  on each class mod r^(k-1).  m^(N/s) mod p fixes log m mod s, and its
+  r-th power log m mod r^(k-1): s is balanced when the r values on each
+  fibre of x -> x^r occur equally often.  It runs after the layer rule.
 * 1 is fixed in S.  The splitter whose block covers 1 is a unit s, and
   s^-1 * S is a tiling that contains 1, so every unit-scaling orbit has
   members holding 1 and the search enumerates only those.  The rest of
@@ -98,6 +110,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import reduce
@@ -118,7 +131,7 @@ from .splitting import (
 
 
 COVER_MASKS_MAX_BYTES = 100_000_000  # q up to 28,284
-FIND_ALL_MAX_TILINGS = 1_000_000  # raw tilings that hold 1, listed by a find-all
+FIND_ALL_MAX_TILINGS = 1_000_000  # tilings a find-all lists (those that hold 1 when deduped)
 
 
 class SearchTimeout(Exception):
@@ -202,6 +215,25 @@ def _layer_witness(q: int, multipliers: MultiplierSet) -> tuple[tuple[int, ...],
     return None
 
 
+def _cyclotomic_witness(q: int, multipliers: MultiplierSet) -> tuple[int, int] | None:
+    """For q whose primes all exceed k_plus, the first prime p | q whose
+    product of r over the balanced s = r^k | p - 1 is not |M|, as (p, that
+    product), or None; None for any other q (module docstring)."""
+    primes = prime_factors(q)
+    if primes[0] <= multipliers.k_plus:
+        return None
+    for p in primes:
+        balanced = 1
+        for r in prime_factors(gcd(p - 1, len(multipliers))):  # a balanced r^k has r | |M|
+            for s in (r**k for k in range(1, p.bit_length()) if (p - 1) % r**k == 0):
+                counts = Counter(pow(m, (p - 1) // s, p) for m in multipliers)
+                fibres = Counter((pow(x, r, p), c) for x, c in counts.items())  # (x^r, count) -> how many x
+                balanced *= r if set(fibres.values()) == {r} else 1
+        if balanced != len(multipliers):
+            return p, balanced
+    return None
+
+
 def _class_masks(q: int, divisors) -> dict[int, int]:
     """C_d as a bitmask for each d among `divisors`, the divisors of u, by
     inclusion-exclusion over the masks of multiples (module docstring)."""
@@ -228,10 +260,12 @@ def search_tilings(
     is returned, which exposes full orbit sizes.  find_all=False stops
     at the first solution.  Returns [] when k_plus+k_minus does not
     divide the size of every gcd class (no tiling can exist by counting;
-    see the module docstring), or the layer rule fails for some P.  An
-    order whose cover masks pass COVER_MASKS_MAX_BYTES is refused with
-    ValueError before the layer rule, and a find-all refuses, from their
-    exact count, more than FIND_ALL_MAX_TILINGS raw tilings that hold 1.
+    see the module docstring), the layer rule fails for some P, or the
+    cyclotomic rule for some prime of a q whose primes all exceed k_plus.
+    An order whose cover masks pass COVER_MASKS_MAX_BYTES is refused with
+    ValueError before either rule, and a find-all refuses, from their
+    exact count, more than FIND_ALL_MAX_TILINGS tilings to list: those
+    that hold 1, or without dedupe every raw tiling.
     """
     _check_time_limit(time_limit)
     deadline = time.monotonic() + time_limit if time_limit is not None else None
@@ -249,7 +283,7 @@ def search_tilings(
     if q * q // 8 > COVER_MASKS_MAX_BYTES:
         raise ValueError(f"search over Z_{q} needs about {q * q // 8} bytes of cover masks, "
                          f"more than {COVER_MASKS_MAX_BYTES}")
-    if _layer_witness(q, multipliers):
+    if _layer_witness(q, multipliers) or _cyclotomic_witness(q, multipliers):
         return []
     holders = _cover_blocks(q, multipliers, check_clock)
     full = (1 << q) - 2  # residues 1..q-1
@@ -314,8 +348,11 @@ def search_tilings(
         for covered, branches in memo.items():
             paths[covered] = sum(paths[child] for _, child in branches)
         raw = prod(paths[root] for root in roots)
+        if not dedupe:  # each orbit has |U_M| times as many members as members holding 1
+            raw *= sum(gcd(m, q) == 1 for m in multipliers)
         if raw > FIND_ALL_MAX_TILINGS:
-            raise ValueError(f"search ({k_plus},{k_minus}) over Z_{q} has {raw} tilings that hold 1, "
+            held = "tilings that hold 1" if dedupe else "raw tilings"
+            raise ValueError(f"search ({k_plus},{k_minus}) over Z_{q} has {raw} {held}, "
                              f"more than the {FIND_ALL_MAX_TILINGS} a find-all lists")
     # one walk of the live branches, class after class, in the DFS's leaf order
     solutions, chosen, stack = [], [], [(0, 1, full, 0)]  # depth, splitter, covered, classes entered

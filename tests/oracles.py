@@ -208,6 +208,37 @@ def layer_witness(q: int, k_plus: int, k_minus: int):
     return None
 
 
+def cyclotomic_witness(q: int, k_plus: int, k_minus: int):
+    """For q whose primes all exceed k_plus, the first prime p | q
+    (ascending) whose product of r over the balanced prime powers s = r^k
+    dividing p - 1 is not k_plus + k_minus, as (p, that product), else
+    None; None for any other q.  s is balanced when the discrete logs of
+    the multipliers have equal counts mod s across each class mod s/r.
+    The logs come from a table of the powers of a primitive root found by
+    brute force."""
+    primes = [p for p in range(2, q + 1) if q % p == 0 and all(p % f for f in range(2, p))]
+    if primes[0] <= k_plus:
+        return None
+    for p in primes:
+        root = next(g for g in range(1, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+        log = {pow(root, e, p): e for e in range(p - 1)}
+        logs = [log[m % p] for m in multiplier_list(k_plus, k_minus)]
+        product = 1
+        for s in range(2, p):
+            r = next(f for f in range(2, s + 1) if s % f == 0)  # the smallest prime of s
+            rest = s
+            while rest % r == 0:
+                rest //= r
+            if rest != 1 or (p - 1) % s:
+                continue  # s is not a power of r, or does not divide p - 1
+            counts = Counter(a % s for a in logs)
+            if all(counts[i] == counts[i + t * (s // r)] for i in range(s // r) for t in range(r)):
+                product *= r
+        if product != k_plus + k_minus:
+            return p, product
+    return None
+
+
 def reference_search(k_plus: int, k_minus: int, q: int, find_all: bool = True):
     """Every splitter set of Z_q for the arms, sorted, in the order found
     (only the first with find_all=False): an exact-cover search that

@@ -153,6 +153,21 @@ def test_lattice_refuses_from_the_splitter_count_before_the_scan(capsys, monkeyp
     assert len(scans) == (code == 1)
 
 
+@pytest.mark.parametrize(
+    "count,err",
+    [(5000, "error: each splitter must be a list of integers\n"),
+     (5001, "error: the lattice JSON needs 25010001 entries, more than 25000000\n")],
+    ids=["5000-malformed", "5001-refused"],
+)
+def test_lattice_refuses_from_the_json_list_length_before_validating(capsys, tmp_path, count, err):
+    # a float in the last splitter: past 5,000 splitters the list's length
+    # decides, and no entry is validated
+    path = tmp_path / "float.json"
+    splitters = [[s] for s in range(1, count)] + [[count + 0.5]]
+    path.write_text(json.dumps({"orders": [100003], "k_plus": 2, "k_minus": 1, "splitters": splitters}), encoding="utf-8")
+    assert run_cli(capsys, "lattice", str(path)) == (2, "", err)
+
+
 NON_PACKING = json.dumps({"orders": [17], "k_plus": 3, "k_minus": 2, "splitters": [[1], [2]]})
 
 

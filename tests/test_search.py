@@ -194,28 +194,32 @@ def test_layer_witness_matches_a_count_of_each_class(k_plus):
             assert search_mod._layer_witness(q, multipliers) == oracles.layer_witness(q, k_plus, k_minus)
 
 
-def decided_by_the_layer_rule(k_max, q_max):
-    """The grid instances that pass the size test and fail the layer rule."""
+def decided_by(witness, k_max, q_max):
+    """The grid instances that pass the size test and have a `witness`
+    (`_layer_witness` or `_cyclotomic_witness`): those that rule decides."""
     decided = []
     for k_plus, k_minus, q in survey_instances(k_max, q_max):
         _, sizes = search_mod._class_sizes(q, k_plus)
         if not any(size % (k_plus + k_minus) for size in sizes.values()):
-            if search_mod._layer_witness(q, MultiplierSet(k_plus, k_minus)):
+            if witness(q, MultiplierSet(k_plus, k_minus)):
                 decided.append((k_plus, k_minus, q))
     return decided
 
 
 def test_no_instance_the_layer_rule_decides_has_a_tiling(monkeypatch):
-    decided = decided_by_the_layer_rule(10, 1000)
+    decided = decided_by(search_mod._layer_witness, 10, 1000)
     assert len(decided) == 217
     monkeypatch.setattr(search_mod, "_layer_witness", lambda *args: None)
     assert [key for key in decided if search_tilings(*key, find_all=False)] == []
 
 
 def test_the_layer_rule_decides_54_grid_instances_before_the_set_up(monkeypatch):
-    decided = decided_by_the_layer_rule(10, 100)
+    decided = decided_by(search_mod._layer_witness, 10, 100)
     assert len(decided) == 54
     assert {(4, 1, 16), (3, 2, 81), (5, 2, 50), (10, 9, 96)} <= set(decided)
+    cyclotomic = decided_by(search_mod._cyclotomic_witness, 10, 100)
+    assert len(cyclotomic) == 167 and not set(cyclotomic) & set(decided)
+    ruled = {*decided, *cyclotomic}
     built, cover_blocks = [], search_mod._cover_blocks
 
     def counted(q, multipliers, check_clock):
@@ -224,8 +228,41 @@ def test_the_layer_rule_decides_54_grid_instances_before_the_set_up(monkeypatch)
 
     monkeypatch.setattr(search_mod, "_cover_blocks", counted)
     rows = survey(10, 100, prune_with_bounds=False)
-    assert len(built) == 206 and not set(built) & set(decided)
-    assert all(not row.tilings for row in rows if (row.k_plus, row.k_minus, row.q) in decided)
+    assert len(built) == 39 and not set(built) & ruled
+    assert all(not row.tilings for row in rows if (row.k_plus, row.k_minus, row.q) in ruled)
+
+
+@pytest.mark.parametrize("k_plus", range(2, 11))
+def test_cyclotomic_witness_matches_a_discrete_log_table(k_plus):
+    # every q <= 300, singular q included, where both give None
+    for k_minus in range(1, k_plus):
+        multipliers = MultiplierSet(k_plus, k_minus)
+        for q in range(2, 301):
+            assert search_mod._cyclotomic_witness(q, multipliers) == oracles.cyclotomic_witness(q, k_plus, k_minus)
+
+
+def test_no_instance_the_cyclotomic_rule_decides_has_a_tiling(monkeypatch):
+    decided = decided_by(search_mod._cyclotomic_witness, 10, 1000)
+    assert len(decided) == 1525 and not set(decided) & set(decided_by(search_mod._layer_witness, 10, 1000))
+    monkeypatch.setattr(search_mod, "_cyclotomic_witness", lambda *args: None)
+    assert [key for key in decided if search_tilings(*key, find_all=False)] == []
+
+
+@pytest.mark.parametrize("k_plus,k_minus,q", [(4, 2, 181), (3, 1, 577), (4, 2, 973), (3, 1, 745)])
+def test_tiled_nonsingular_instances_pass_the_cyclotomic_rule(k_plus, k_minus, q):
+    assert search_mod._cyclotomic_witness(q, MultiplierSet(k_plus, k_minus)) is None
+    assert search_tilings(k_plus, k_minus, q, find_all=False)
+
+
+def test_the_cyclotomic_rule_decides_a_prime_near_the_cover_mask_budget():
+    # 28057 is prime, 4 | 28056 and its masks, about 98 MB, pass the
+    # budget, but the rule decides it before any is built: this search
+    # once took about a minute and 156 MiB
+    assert search_mod._cyclotomic_witness(28057, MultiplierSet(3, 1)) == (28057, 1)
+    start = time.monotonic()
+    proc = cli_in_512_mib("search", "--kplus", "3", "--kminus", "1", "--q", "28057")
+    assert time.monotonic() - start < 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0 canonical tiling(s)\n", b"")
 
 
 @st.composite
@@ -366,7 +403,7 @@ def test_find_all_refuses_past_its_budget_from_the_exact_count(monkeypatch, k_pl
     classes = len(search_tilings(k_plus, k_minus, q))
     monkeypatch.setattr(search_mod, "FIND_ALL_MAX_TILINGS", holding_1 - 1)
     with pytest.raises(ValueError) as refused:
-        search_tilings(k_plus, k_minus, q, dedupe=False)
+        search_tilings(k_plus, k_minus, q)
     assert str(refused.value) == (
         f"search ({k_plus},{k_minus}) over Z_{q} has {holding_1} tilings that hold 1, "
         f"more than the {holding_1 - 1} a find-all lists"
@@ -374,6 +411,16 @@ def test_find_all_refuses_past_its_budget_from_the_exact_count(monkeypatch, k_pl
     assert len(search_tilings(k_plus, k_minus, q, find_all=False)) == 1
     monkeypatch.setattr(search_mod, "FIND_ALL_MAX_TILINGS", holding_1)
     assert len(search_tilings(k_plus, k_minus, q)) == classes
+    # without dedupe it lists every raw tiling, |U_M| per one that holds 1
+    raw = holding_1 * sum(gcd(m, q) == 1 for m in oracles.multiplier_list(k_plus, k_minus))
+    with pytest.raises(ValueError) as refused:
+        search_tilings(k_plus, k_minus, q, dedupe=False)
+    assert str(refused.value) == (
+        f"search ({k_plus},{k_minus}) over Z_{q} has {raw} raw tilings, "
+        f"more than the {holding_1} a find-all lists"
+    )
+    monkeypatch.setattr(search_mod, "FIND_ALL_MAX_TILINGS", raw)
+    assert len(search_tilings(k_plus, k_minus, q, dedupe=False)) == raw
 
 
 def test_find_all_leaves_no_cycle_holding_its_lists():
@@ -488,11 +535,13 @@ def test_search_rules_out_a_huge_order_before_allocating():
 
 
 def test_search_time_limit_holds_during_set_up():
-    # 28279 is prime and 3 | 28278, so the size test passes, and its masks,
-    # about 100 MB, are just within the budget; building them takes longer
-    # than the limit
-    proc = search_in_512_mib("--q", "28279", "--time-limit", "0.01")
-    err = b"error: search (2,1) over Z_28279 exceeded 0.01s\n"
+    # 28276 = 4 * 7069: 3 divides its class sizes and neither rule decides
+    # it, so its masks, about 100 MB, are built, and that takes longer than
+    # the limit (the cyclotomic rule decides 28279, the prime used before)
+    assert search_mod._cyclotomic_witness(28276, MultiplierSet(2, 1)) is None
+    assert search_mod._layer_witness(28276, MultiplierSet(2, 1)) is None
+    proc = search_in_512_mib("--q", "28276", "--time-limit", "0.01")
+    err = b"error: search (2,1) over Z_28276 exceeded 0.01s\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err)
 
 
@@ -505,7 +554,10 @@ def test_search_refuses_an_order_whose_cover_masks_pass_the_budget():
     assert time.monotonic() - start < 1
     err = b"error: search over Z_64033 needs about 512528136 bytes of cover masks, more than 100000000\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err)
-    assert 64033**2 // 8 > search_mod.COVER_MASKS_MAX_BYTES >= 28279**2 // 8
+    assert 64033**2 // 8 > search_mod.COVER_MASKS_MAX_BYTES >= 28276**2 // 8
+    # the cyclotomic rule decides 64033, but runs after the budget test, as
+    # the layer rule does, so every order past the budget is refused alike
+    assert search_mod._cyclotomic_witness(64033, MultiplierSet(2, 1)) == (64033, 1)
 
 
 def test_the_cover_mask_budget_is_checked_before_the_layer_rule():
@@ -529,6 +581,29 @@ def test_search_refuses_a_huge_find_all_from_its_count():
     first = search_in_512_mib("--q", "256", "--first")
     assert (first.returncode, first.stderr) == (0, b"")
     assert first.stdout.startswith(b"1 canonical tiling(s)\n1 3 4 5 7 ")
+
+
+def test_search_raw_is_refused_from_what_it_lists():
+    # (3,1,577) has 262,144 tilings that hold 1, within the budget, but
+    # lists 4 times as many raw ones; listing them once ran out of memory
+    start = time.monotonic()
+    proc = cli_in_512_mib("search", "--kplus", "3", "--kminus", "1", "--q", "577", "--raw")
+    assert time.monotonic() - start < 1
+    err = b"error: search (3,1) over Z_577 has 1048576 raw tilings, more than the 1000000 a find-all lists\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err)
+
+
+def test_raw_tilings_number_those_that_hold_1_times_the_unit_multipliers():
+    # the units of Z_q are the blocks U_M*s over the unit splitters s, U_M
+    # the multipliers prime to q, so each orbit has |U_M| members per
+    # member that holds 1: the product the raw budget is checked on
+    tiled = [key for key in survey_instances(10, 100) if search_tilings(*key, find_all=False)]
+    assert len(tiled) == 5
+    for k_plus, k_minus, q in tiled:
+        raw = search_tilings(k_plus, k_minus, q, dedupe=False)
+        holding = sum(1 in sp.splitter_values() for sp in raw)
+        units = sum(gcd(m, q) == 1 for m in oracles.multiplier_list(k_plus, k_minus))
+        assert len(raw) == holding * units
 
 
 def test_search_past_the_default_recursion_limit_finds_a_tiling():
