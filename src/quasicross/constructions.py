@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 
+from . import splitting
 from .groups import FiniteAbelianGroup, integers, is_prime
 from .splitting import (
     MultiplierSet,
@@ -29,14 +30,10 @@ from .splitting import (
     verify_packing,
 )
 
-_PRIME_SCAN_CAP = 10_000_000
-
 
 def _check_arms(p: int, ell: int, k_plus: int, k_minus: int) -> tuple[int, int, MultiplierSet]:
     """p, ell and the arms as the ints they were checked as."""
     p, ell = integers((p, ell), "p and ell")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     arms = MultiplierSet(k_plus, k_minus)
     if len(arms) != p - 1:
         raise ValueError(
@@ -44,7 +41,9 @@ def _check_arms(p: int, ell: int, k_plus: int, k_minus: int) -> tuple[int, int, 
         )
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    check_scan_size(len(arms), p, ell)  # a tiling of a group of order p^ell
+    check_scan_size(len(arms), p, ell)  # a tiling of order p^ell: bounds p before trial division
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     return p, ell, arms
 
 
@@ -183,7 +182,8 @@ def balance_family(numerator: int, denominator: int, index: int) -> BalanceFamil
 
     Scans primes p = 1 (mod numerator+denominator) in increasing order by
     direct primality testing; the scaling factor t = (p-1)/(a+b) gives
-    arms (t*denominator, t*numerator) and Z_p splits with S = {1}.
+    arms (t*denominator, t*numerator) and Z_p splits with S = {1}.  Its
+    p - 1 products pass the scan only for p <= SCAN_MAX_PRODUCTS + 1.
     """
     a, b, index = integers((numerator, denominator, index), "the arm ratio and index")
     if not 0 < a < b:
@@ -193,8 +193,8 @@ def balance_family(numerator: int, denominator: int, index: int) -> BalanceFamil
     if index < 1:
         raise ValueError("index is 1-based")
     d = a + b
-    seen = 0
-    for p in range(d + 1, _PRIME_SCAN_CAP + 1, d):
+    seen, limit = 0, splitting.SCAN_MAX_PRODUCTS
+    for p in range(d + 1, limit + 2, d):
         if is_prime(p):
             seen += 1
             if seen == index:
@@ -202,5 +202,5 @@ def balance_family(numerator: int, denominator: int, index: int) -> BalanceFamil
                 sp = cyclic_splitting(p, 1, t * b, t * a)
                 return BalanceFamilyMember(a, b, index, p, t * b, t * a, sp)
     raise ValueError(
-        f"no {index} primes = 1 (mod {d}) found below {_PRIME_SCAN_CAP}"
+        f"no {index} primes = 1 (mod {d}) have p - 1 <= {limit}, the product scan's limit"
     )

@@ -51,6 +51,10 @@ nonzero residues.  The covered residues and the still-live splitters
   s^-1 * S is a tiling that contains 1, so every unit-scaling orbit has
   members holding 1 and the search enumerates only those.  The rest of
   an orbit is rebuilt by scaling, never searched for.
+* The raw tilings are the m^-1 * S, each once, for S holding 1 and m in
+  U_M, the multipliers prime to q.  Onto: a raw tiling T covers 1 once,
+  as m*t with m and t units, and m*T is a tiling holding 1.  One-to-one:
+  m^-1 * S holds m^-1, whose block covers 1 as m*m^-1, so T fixes m.
 * The branch variable is the uncovered residue with the fewest live
   candidates (blocks still disjoint from the covered set): Knuth's
   most-constrained-first rule from "Dancing Links".  A residue with no
@@ -256,8 +260,8 @@ def search_tilings(
 
     With dedupe (default) one representative per unit-scaling orbit is
     returned, each the lexicographically smallest member of its orbit
-    (so it contains 1 and is sorted); without it, every raw splitter set
-    is returned, which exposes full orbit sizes.  find_all=False stops
+    (so it contains 1 and is sorted); without it, every raw splitter set,
+    as m^-1 * S (module docstring), sorted.  find_all=False stops
     at the first solution.  Returns [] when k_plus+k_minus does not
     divide the size of every gcd class (no tiling can exist by counting;
     see the module docstring), the layer rule fails for some P, or the
@@ -348,8 +352,9 @@ def search_tilings(
         for covered, branches in memo.items():
             paths[covered] = sum(paths[child] for _, child in branches)
         raw = prod(paths[root] for root in roots)
-        if not dedupe:  # each orbit has |U_M| times as many members as members holding 1
-            raw *= sum(gcd(m, q) == 1 for m in multipliers)
+        if not dedupe:  # the raw tilings are m^-1 * S for m in U_M (module docstring)
+            inverses = [pow(m, -1, q) for m in multipliers if gcd(m, q) == 1]
+            raw *= len(inverses)
         if raw > FIND_ALL_MAX_TILINGS:
             held = "tilings that hold 1" if dedupe else "raw tilings"
             raise ValueError(f"search ({k_plus},{k_minus}) over Z_{q} has {raw} {held}, "
@@ -367,10 +372,9 @@ def search_tilings(
             stack.extend((depth + 1, s, child, entered) for s, child in reversed(memo[covered]))
     if dedupe:
         canonical = sorted(_orbit_min(q, solutions, check_clock))
-    elif find_all:
-        units = [u for u in range(1, q) if gcd(u, q) == 1]
-        minima = _orbit_min(q, solutions, check_clock)
-        canonical = sorted({_scaled(q, u, m) for m in minima for u in units})
+    elif find_all:  # distinct by the bijection; check_clock, None unless late, runs once per S
+        canonical = sorted(_scaled(q, u, values)
+                           for values in solutions if not check_clock() for u in inverses)
     else:
         canonical = solutions
     out = []
@@ -483,20 +487,20 @@ def survey(
     if jobs != 1:
         raise ValueError(f"the survey runs in one process: jobs must be 1, got {jobs}")
     _check_time_limit(time_limit)
-    grid = list(survey_instances(k_max, q_max))
-    if not grid:
+    if next(survey_instances(k_max, q_max), None) is None:  # never listed: the grid may be huge
         raise ValueError(f"no instance with n >= 2 has k_plus <= {k_max} and q <= {q_max}")
     done = _read_log(progress_path) if progress_path else {}
     # an unsearched row, left by a pruned run, is redone by an unpruned one
     reused = {key for key, row in done.items() if row.searched or prune_with_bounds}
-    todo = [(*key, prune_with_bounds, time_limit) for key in grid if key not in reused]
+    todo = ((*key, prune_with_bounds, time_limit)
+            for key in survey_instances(k_max, q_max) if key not in reused)
     with open(progress_path, "a", encoding="utf-8") if progress_path else nullcontext() as log:
         for row in map(_run_instance, todo):
             done[row.k_plus, row.k_minus, row.q] = row
             if log:
                 log.write(json.dumps(asdict(row)) + "\n")
                 log.flush()
-    return [done[key] for key in grid]
+    return [done[key] for key in survey_instances(k_max, q_max)]
 
 
 def survey_csv(rows: list[SurveyRow]) -> str:

@@ -18,9 +18,8 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
-from math import gcd
 
-from .groups import Element, FiniteAbelianGroup, cyclic_group, integers, prime_factors
+from .groups import Element, FiniteAbelianGroup, cyclic_group, integers
 
 SCAN_MAX_PRODUCTS = 500_000  # at 100-200 B each, about 100 MB
 
@@ -221,15 +220,16 @@ class Singularity(enum.Enum):
 
 def classify_singularity(sp: Splitting) -> Singularity:
     """Non-singular: every multiplier is coprime to |G|.  Purely singular:
-    every prime divisor of |G| divides some multiplier.  Singular: neither."""
-    order = sp.group.order
-    if all(gcd(order, m) == 1 for m in sp.multipliers):
+    every prime divisor of |G| divides some multiplier.  Singular: neither.
+    A prime divides a multiplier exactly when it is <= k_plus, and is then
+    one itself, so dividing 2..k_plus out of |G| decides it: O(k_plus)."""
+    order = rest = sp.group.order
+    for p in range(2, sp.multipliers.k_plus + 1):
+        while rest % p == 0:
+            rest //= p
+    if rest == order:
         return Singularity.NON_SINGULAR
-    if all(
-        any(m % p == 0 for m in sp.multipliers) for p in prime_factors(order)
-    ):
-        return Singularity.PURELY_SINGULAR
-    return Singularity.SINGULAR
+    return Singularity.PURELY_SINGULAR if rest == 1 else Singularity.SINGULAR
 
 
 def image(sp: Splitting, vector) -> Element:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd, prod
 
@@ -49,6 +50,21 @@ def count_divisible_by(k_plus: int, k_minus: int, p: int) -> int:
     return k_plus // p + k_minus // p
 
 
+@cache
+def brute_primes(n: int) -> tuple[int, ...]:
+    """The primes dividing n, each p <= n tested by trial division."""
+    return tuple(p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p)))
+
+
+def classify_singularity(orders, k_plus: int, k_minus: int) -> str:
+    """How many primes of |G| divide some multiplier: none (non-singular),
+    all (purely singular) or some (singular), with the primes found by
+    brute force and the multipliers listed out."""
+    multipliers = multiplier_list(k_plus, k_minus)
+    hits = [any(m % p == 0 for m in multipliers) for p in brute_primes(prod(orders))]
+    return "non-singular" if not any(hits) else "purely-singular" if all(hits) else "singular"
+
+
 def check_singular_prime_bound(orders, k_plus, k_minus, splitters) -> bool:
     """For a purely-singular perfect splitting, every prime divisor p of
     |G| must divide at least |M|/p^2 of the multipliers.
@@ -58,8 +74,7 @@ def check_singular_prime_bound(orders, k_plus, k_minus, splitters) -> bool:
     some prime of |G| divides no multiplier (not purely singular)."""
     if not brute_is_tiling(orders, k_plus, k_minus, splitters):
         raise ValueError("the prime bound needs a perfect splitting")
-    size = prod(orders)
-    primes = [p for p in range(2, size + 1) if size % p == 0 and all(p % d for d in range(2, p))]
+    primes = brute_primes(prod(orders))
     counts = [count_divisible_by(k_plus, k_minus, p) for p in primes]
     if 0 in counts:
         raise ValueError("the prime bound needs a purely-singular splitting")

@@ -472,6 +472,38 @@ def test_huge_exponents_are_refused_before_the_power(capsys, kind):
     assert (code, out, err) == (2, "", f"error: the product scan needs at least {base}^{10**7 - 1} products, more than {limit}\n")
 
 
+M61 = 2**61 - 1  # a Mersenne prime
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [(["balance", "--beta", "1/2", "--index", "400000"],
+      "no 400000 primes = 1 (mod 3) have p - 1 <= 500000, the product scan's limit"),
+     (["cyclic", "--p", str(M61), "--ell", "1", "--kplus", str(M61 - 2), "--kminus", "1"],
+      f"the product scan needs {M61 - 1} products, more than 500000")],
+    ids=["balance-past-the-scan", "cyclic-huge-p"],
+)
+def test_constructions_past_the_scan_are_refused_before_their_primes(argv, err):
+    # balance once tested every p = 1 (mod 3) up to 10^7, about 48 s to
+    # index 400000, and cyclic ran trial division on 2^61 - 1 for minutes
+    start = time.monotonic()
+    proc = cli_in_512_mib("construct", *argv)
+    assert time.monotonic() - start < 2
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", f"error: {err}\n")
+
+
+def test_verify_classifies_singularity_without_factoring_the_order(tmp_path):
+    # |G| = 2 * (2^61 - 1): trial division of its odd part took minutes,
+    # while 2..k_plus divided out leave 2^61 - 1, neither |G| nor 1
+    path = tmp_path / "z2m61.json"
+    path.write_text(to_json(make_cyclic_splitting(2 * M61, 2, 1, [1])), encoding="utf-8")
+    start = time.monotonic()
+    proc = cli_in_512_mib("verify", str(path))
+    assert time.monotonic() - start < 2
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode().splitlines()[1] == f"group Z{2 * M61}, det {2 * M61}, singular"
+
+
 def test_scan_limit_admits_the_largest_constructions():
     # the (3,1) tiling of Z_390625 makes 390,624 products and is verified as it is built
     assert cyclic_splitting(5, 8, 3, 1).n * 4 == 390_624 <= split_mod.SCAN_MAX_PRODUCTS

@@ -14,6 +14,7 @@ from quasicross import (
     make_cyclic_splitting,
     matrix_extension,
     mixed_splitting,
+    splitting,
     two_one_splitting,
     verify_packing,
 )
@@ -228,13 +229,15 @@ def test_balance_family_preconditions():
 
 
 def test_balance_family_past_the_prime_scan_cap_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setattr(constructions, "_PRIME_SCAN_CAP", 50)
-    assert balance_family(1, 2, 6).prime == 43  # the last prime = 1 (mod 3) below the cap
-    error = "no 7 primes = 1 (mod 3) found below 50"
+    # a member over Z_p has p - 1 products, so the scan's limit caps p
+    monkeypatch.setattr(splitting, "SCAN_MAX_PRODUCTS", 49)
+    assert balance_family(1, 2, 6).prime == 43  # the last prime = 1 (mod 3) with p - 1 <= 49
+    error = "no 7 primes = 1 (mod 3) have p - 1 <= 49, the product scan's limit"
     with pytest.raises(ValueError, match=re.escape(error)):
         balance_family(1, 2, 7)
     assert main(["construct", "balance", "--beta", "1/2", "--index", "100"]) == 2
-    assert capsys.readouterr() == ("", "error: no 100 primes = 1 (mod 3) found below 50\n")
+    err = "error: no 100 primes = 1 (mod 3) have p - 1 <= 49, the product scan's limit\n"
+    assert capsys.readouterr() == ("", err)
 
 
 def one(p):

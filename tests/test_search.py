@@ -444,17 +444,18 @@ def test_find_all_leaves_no_cycle_holding_its_lists():
 
 def test_time_limit_holds_while_orbits_are_canonicalised(monkeypatch):
     # the find-all of (3,1,577) spends about 90% of its time in `_orbit_min`,
-    # which once ran to the end however far past the deadline it was
+    # which once ran to the end however far past the deadline it was; the
+    # raw listing scales each set that holds 1 and checks the deadline per set
     now = [0.0]
     monkeypatch.setattr(search_mod, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
-    orbit_min = search_mod._orbit_min
+    for dedupe, step in ((True, "_orbit_min"), (False, "_scaled")):
+        run = getattr(search_mod, step)
 
-    def late(*args):
-        now[0] = 2.0  # the limit runs out as the first orbit is built
-        return orbit_min(*args)
+        def late(*args, run=run):
+            now[0] = 2.0  # the limit runs out as the first orbit or set is scaled
+            return run(*args)
 
-    monkeypatch.setattr(search_mod, "_orbit_min", late)
-    for dedupe in (True, False):
+        monkeypatch.setattr(search_mod, step, late)
         now[0] = 0.0
         with pytest.raises(SearchTimeout, match=r"search \(2,1\) over Z_64 exceeded 1s"):
             search_tilings(2, 1, 64, dedupe=dedupe, time_limit=1)
@@ -604,6 +605,40 @@ def test_raw_tilings_number_those_that_hold_1_times_the_unit_multipliers():
         holding = sum(1 in sp.splitter_values() for sp in raw)
         units = sum(gcd(m, q) == 1 for m in oracles.multiplier_list(k_plus, k_minus))
         assert len(raw) == holding * units
+
+
+def test_raw_tilings_are_every_class_scaled_by_every_unit():
+    # the raw listing scales each set that holds 1 by the inverses of U_M
+    # alone; it must equal every unit of Z_q applied to every class
+    tiled = [key for key in survey_instances(10, 300) if search_tilings(*key, find_all=False)]
+    tiled.remove((2, 1, 256))  # 2^43 raw tilings, refused from the count
+    assert len(tiled) == 22
+    for k_plus, k_minus, q in tiled:
+        units = [u for u in range(1, q) if gcd(u, q) == 1]
+        classes = [sp.splitter_values() for sp in search_tilings(k_plus, k_minus, q)]
+        expected = sorted({tuple(sorted(u * s % q for s in c)) for c in classes for u in units})
+        raw = search_tilings(k_plus, k_minus, q, dedupe=False)
+        assert [sp.splitter_values() for sp in raw] == expected, (k_plus, k_minus, q)
+
+
+def test_raw_search_lists_without_scaling_by_all_of_z_q():
+    # (4,2,2401) lists 1296 raw tilings; scaling its classes by all 2058
+    # units of Z_2401 once took about 30 s
+    start = time.monotonic()
+    proc = cli_in_512_mib("search", "--kplus", "4", "--kminus", "2", "--q", "2401", "--raw")
+    assert time.monotonic() - start < 2
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"1296 raw splitter set(s)\n")
+
+
+def test_survey_walks_a_huge_grid_lazily():
+    # --qmax 10^8 has about 78 million instances; listing them first ran
+    # out of memory, and the walk now reaches (2,1,256) and its refusal
+    start = time.monotonic()
+    proc = cli_in_512_mib("survey", "--kmax", "3", "--qmax", "100000000")
+    assert time.monotonic() - start < 2
+    err = b"error: search (2,1) over Z_256 has 4398046511104 tilings that hold 1, more than the 1000000 a find-all lists\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err)
 
 
 def test_search_past_the_default_recursion_limit_finds_a_tiling():

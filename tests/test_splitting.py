@@ -113,6 +113,19 @@ def test_classify_singularity():
     assert classify_singularity(sp) is Singularity.SINGULAR
 
 
+def test_classify_singularity_matches_the_brute_force_primes():
+    # dividing 2..k_plus out of |G| decides it, as the primes <= k_plus
+    # are exactly those dividing a multiplier
+    arms = [MultiplierSet(k_plus, k_minus) for k_plus in range(2, 13) for k_minus in range(1, k_plus)]
+    groups = [FiniteAbelianGroup((q,)) for q in range(2, 2001)]
+    groups += [FiniteAbelianGroup(orders) for orders in [(2, 2, 2), (4, 6), (3, 9, 5), (7, 14), (11, 11), (6, 10, 15)]]
+    for group in groups:
+        splitter = (1,) * len(group.orders)
+        for m in arms:
+            expected = oracles.classify_singularity(group.orders, m.k_plus, m.k_minus)
+            assert classify_singularity(Splitting(group, m, (splitter,))).value == expected, (group, m)
+
+
 def prime_bound(sp):
     arms = sp.multipliers
     return oracles.check_singular_prime_bound(sp.group.orders, arms.k_plus, arms.k_minus, sp.splitters)
