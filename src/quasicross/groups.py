@@ -29,21 +29,22 @@ def integers(values, what: str) -> list[int]:
 def is_prime(n: int) -> bool:
     """Primality by the trial division of `prime_factors`, stopped at the
     first factor found."""
-    return n >= 2 and next(_trial_division(n)) == n
+    return n >= 2 and next(_trial_division(n, n)) == n
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, ascending."""
+def prime_factors(n: int, limit: int | None = None) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending; with `limit`, factors
+    above it go untried, and a cofactor > 1 left comes last as one prime."""
     if n < 1:
         raise ValueError("prime_factors needs n >= 1")
-    return list(_trial_division(n))
+    return list(_trial_division(n, n if limit is None else limit))
 
 
-def _trial_division(n: int):
-    """The distinct prime factors of n >= 1, ascending, each yielded as
-    soon as it is found."""
+def _trial_division(n: int, limit: int):
+    """The distinct prime factors of n >= 1 up to `limit`, ascending, each
+    yielded as soon as it is found, then the cofactor left if it is > 1."""
     f = 2
-    while f * f <= n:
+    while f * f <= n and f <= limit:
         if n % f == 0:
             yield f
             while n % f == 0:

@@ -46,7 +46,11 @@ nonzero residues.  The covered residues and the still-live splitters
   s = r^k with Phi_s | A(x), that is, with the counts of A mod r^k equal
   on each class mod r^(k-1).  m^(N/s) mod p fixes log m mod s, and its
   r-th power log m mod r^(k-1): s is balanced when the r values on each
-  fibre of x -> x^r occur equally often.  It runs after the layer rule.
+  fibre of x -> x^r occur equally often.  That fibre through x is the
+  coset x*<zeta>, zeta of order r: s is balanced iff the multiset of the
+  m^(N/s) is invariant under times zeta.  For N = t*r^K, r not dividing
+  t, they are the m^t at s = r^K, raised to the r-th power a level down.
+  It runs after the layer rule.
 * 1 is fixed in S.  The splitter whose block covers 1 is a unit s, and
   s^-1 * S is a tiling that contains 1, so every unit-scaling orbit has
   members holding 1 and the search enumerates only those.  The rest of
@@ -114,13 +118,12 @@ from __future__ import annotations
 import json
 import sys
 import time
-from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import reduce
 from io import StringIO
 from itertools import combinations
-from math import gcd, inf, prod
+from math import gcd, inf, isqrt, prod
 from operator import or_
 
 from .bounds import instance_feasibility
@@ -191,9 +194,19 @@ def _orbit_min(q: int, sets, check_clock) -> list[tuple[int, ...]]:
 
 def _class_sizes(q: int, k_plus: int) -> tuple[int, dict[int, int]]:
     """The part u of q made of its primes above k_plus, and |C_d| for each
-    d | u in closed form (see the module docstring)."""
+    d | u in closed form (see the module docstring).  Trial division stops
+    at B = isqrt(8 * COVER_MASKS_MAX_BYTES) + 1, the smallest order past
+    the budget, so q < B^2 is factored exactly, and takes a cofactor c > 1
+    left, with no prime <= B, as one prime.  For k_plus < B its primes lie
+    in u, and a failed size test is sound: it asks span | q/u - 1 and
+    m | p - 1 for each prime p | u, m = span/gcd(span, q/u), and if each
+    prime of c is 1 mod m, so is c.  Else the budget refuses q >= c > B; a
+    c > B^2 with k_plus >= B, whose primes may be arms, gives no sizes."""
+    bound = isqrt(8 * COVER_MASKS_MAX_BYTES) + 1
     u, phi = 1, {1: 1}  # each divisor e of u -> phi(e)
-    for p in prime_factors(q):
+    for p in prime_factors(q, bound):
+        if k_plus >= bound and p > bound * bound:
+            return u, {}
         if p > k_plus:
             powers, pi = dict(phi), 1
             while q % (u * pi * p) == 0:
@@ -229,10 +242,16 @@ def _cyclotomic_witness(q: int, multipliers: MultiplierSet) -> tuple[int, int] |
     for p in primes:
         balanced = 1
         for r in prime_factors(gcd(p - 1, len(multipliers))):  # a balanced r^k has r | |M|
-            for s in (r**k for k in range(1, p.bit_length()) if (p - 1) % r**k == 0):
-                counts = Counter(pow(m, (p - 1) // s, p) for m in multipliers)
-                fibres = Counter((pow(x, r, p), c) for x, c in counts.items())  # (x^r, count) -> how many x
-                balanced *= r if set(fibres.values()) == {r} else 1
+            t, levels = p - 1, 0
+            while t % r == 0:
+                t, levels = t // r, levels + 1
+            zeta = next(z for z in (pow(h, (p - 1) // r, p) for h in range(2, p)) if z != 1)
+            values = sorted([pow(m, t, p) for m in multipliers])  # the m^((p-1)/s) at s = r^levels
+            for level in range(levels, 0, -1):
+                if values == sorted([zeta * x % p for x in values]):
+                    balanced *= r
+                if level > 1:
+                    values = sorted([pow(x, r, p) for x in values])
         if balanced != len(multipliers):
             return p, balanced
     return None

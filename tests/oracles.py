@@ -56,6 +56,18 @@ def brute_primes(n: int) -> tuple[int, ...]:
     return tuple(p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p)))
 
 
+@cache
+def smallest_prime_factors(n: int) -> tuple[int, ...]:
+    """The smallest prime factor of each of 0..n (0 and 1 map to
+    themselves), by a sieve of Eratosthenes."""
+    smallest = list(range(n + 1))
+    for p in range(2, n + 1):
+        if smallest[p] == p:
+            for multiple in range(p * p, n + 1, p):
+                smallest[multiple] = min(smallest[multiple], p)
+    return tuple(smallest)
+
+
 def classify_singularity(orders, k_plus: int, k_minus: int) -> str:
     """How many primes of |G| divide some multiplier: none (non-singular),
     all (purely singular) or some (singular), with the primes found by

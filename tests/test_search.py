@@ -155,6 +155,24 @@ def test_class_sizes_match_a_count(k_plus):
         )
 
 
+@pytest.mark.parametrize("k_plus", [2, 3, 5, 10, 100, 30000])
+def test_class_sizes_factor_every_order_below_the_square_of_the_trial_limit(k_plus):
+    # trial division stops at 28285, so every q < 28285^2 is factored
+    # exactly: the closed form against a sieve's factorisation of each q
+    smallest = oracles.smallest_prime_factors(60000)
+    for q in range(2, 60001):
+        powers, n = Counter(), q
+        while n > 1:
+            powers[smallest[n]] += 1
+            n //= smallest[n]
+        phi = {1: 1}  # each divisor e of u -> phi(e)
+        for p, a in powers.items():
+            if p > k_plus:
+                phi = {e * p**i: f * (p**i - p ** (i - 1) if i else 1) for e, f in phi.items() for i in range(a + 1)}
+        u = max(phi)
+        assert search_mod._class_sizes(q, k_plus) == (u, {u // e: q // u * f - (e == 1) for e, f in phi.items()})
+
+
 @pytest.mark.parametrize("k_plus", range(2, 11))
 def test_class_masks_match_a_gcd_loop(k_plus):
     # the closed form, by inclusion-exclusion over the masks of multiples,
@@ -239,6 +257,24 @@ def test_cyclotomic_witness_matches_a_discrete_log_table(k_plus):
         multipliers = MultiplierSet(k_plus, k_minus)
         for q in range(2, 301):
             assert search_mod._cyclotomic_witness(q, multipliers) == oracles.cyclotomic_witness(q, k_plus, k_minus)
+
+
+@pytest.mark.parametrize("k_plus,k_minus", [(3, 1), (5, 3), (9, 7)])
+def test_cyclotomic_witness_matches_a_discrete_log_table_on_wide_2_parts(k_plus, k_minus):
+    # 16 | p - 1, so r = 2 gives 4 or more levels, each tested for
+    # invariance under zeta = -1
+    multipliers, smallest = MultiplierSet(k_plus, k_minus), oracles.smallest_prime_factors(3000)
+    for p in range(17, 3000, 16):
+        if smallest[p] == p:
+            assert search_mod._cyclotomic_witness(p, multipliers) == oracles.cyclotomic_witness(p, k_plus, k_minus)
+
+
+@pytest.mark.parametrize("k_plus,k_minus", [(3, 1), (7, 1)])
+def test_cyclotomic_witness_matches_a_discrete_log_table_on_12_levels(k_plus, k_minus):
+    # 12289 - 1 = 3 * 2^12: the values m^3 are squared level after level;
+    # (7,1) is balanced at one level of the 12, (3,1) at none
+    expected = oracles.cyclotomic_witness(12289, k_plus, k_minus)
+    assert search_mod._cyclotomic_witness(12289, MultiplierSet(k_plus, k_minus)) == expected
 
 
 def test_no_instance_the_cyclotomic_rule_decides_has_a_tiling(monkeypatch):
@@ -533,6 +569,23 @@ def test_search_rules_out_a_huge_order_before_allocating():
     # 2^8 * phi(5) = 1024, not a multiple of 3, so no O(q) set-up runs
     proc = search_in_512_mib("--q", "100000000", "--time-limit", "1")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0 canonical tiling(s)\n", b"")
+
+
+def test_search_decides_an_order_with_a_huge_prime_factor_without_factoring_it():
+    # q = 2 * (2^61 - 1): trial division stops at 28285, the smallest order
+    # past the cover-mask budget, and the cofactor u = 2^61 - 1, taken as
+    # one prime, leaves C_u with q/u - 1 = 1 residue, not a multiple of 3;
+    # dividing out 2^61 - 1 once ran for longer than any time limit
+    q = 2 * (2**61 - 1)
+    start = time.monotonic()
+    proc = search_in_512_mib("--q", str(q))
+    assert time.monotonic() - start < 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0 canonical tiling(s)\n", b"")
+    # with k_plus >= 28285 the primes of 2^61 - 1 might be arms, so the
+    # cofactor gives no class sizes and the budget refuses q
+    assert search_mod._class_sizes(q, 30000) == (1, {})
+    with pytest.raises(ValueError, match="bytes of cover masks"):
+        search_tilings(30000, 1, q)
 
 
 def test_search_time_limit_holds_during_set_up():
