@@ -98,7 +98,7 @@ def group_order_constraints(k_plus: int, k_minus: int, q: int) -> FeasibilityRep
     """
     q = cyclic_group(q).order  # an integer >= 2, or ValueError
     arms = MultiplierSet(k_plus, k_minus)
-    k_plus, k_minus, span = arms.k_plus, arms.k_minus, len(arms)
+    k_plus, k_minus, span = arms.k_plus, arms.k_minus, arms.k_plus + arms.k_minus
     rules = []
     divisible = (q - 1) % span == 0
     n = (q - 1) // span if divisible else None

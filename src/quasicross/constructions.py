@@ -35,13 +35,13 @@ def _check_arms(p: int, ell: int, k_plus: int, k_minus: int) -> tuple[int, int, 
     """p, ell and the arms as the ints they were checked as."""
     p, ell = integers((p, ell), "p and ell")
     arms = MultiplierSet(k_plus, k_minus)
-    if len(arms) != p - 1:
+    if arms.k_plus + arms.k_minus != p - 1:
         raise ValueError(
             f"k_plus + k_minus must equal p - 1, got {arms.k_plus}+{arms.k_minus} != {p}-1"
         )
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    check_scan_size(len(arms), p, ell)  # a tiling of order p^ell: bounds p before trial division
+    check_scan_size(arms.k_plus + arms.k_minus, p, ell)  # a tiling of order p^ell: bounds p before trial division
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     return p, ell, arms
@@ -146,7 +146,7 @@ def matrix_extension(base: Splitting, k: int) -> Splitting:
             )
     sp = base
     if k > 1:  # k copies hold n*(v^k - 1)/(v - 1) splitters
-        check_scan_size(base.n * len(base.multipliers), v, k)
+        check_scan_size(base.n * (base.multipliers.k_plus + base.multipliers.k_minus), v, k)
         orders, columns = reduce(_product, [(base.group.orders, base.splitters)] * k)
         sp = Splitting(FiniteAbelianGroup(orders), base.multipliers, tuple(columns))
     if not verify_packing(sp).ok:

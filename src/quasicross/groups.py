@@ -29,29 +29,32 @@ def integers(values, what: str) -> list[int]:
 def is_prime(n: int) -> bool:
     """Primality by the trial division of `prime_factors`, stopped at the
     first factor found."""
-    return n >= 2 and next(_trial_division(n, n)) == n
+    return n >= 2 and next(_trial_division(n, n)) == (n, n)
 
 
-def prime_factors(n: int, limit: int | None = None) -> list[int]:
-    """Distinct prime factors of n >= 1, ascending; with `limit`, factors
-    above it go untried, and a cofactor > 1 left comes last as one prime."""
+def prime_factors(n: int, limit: int | None = None) -> dict[int, int]:
+    """Each prime factor p of n >= 1, ascending, mapped to p^a, its full
+    power in n; with `limit`, factors above it go untried, and a cofactor
+    c > 1 left comes last as one prime, mapped to c."""
     if n < 1:
         raise ValueError("prime_factors needs n >= 1")
-    return list(_trial_division(n, n if limit is None else limit))
+    return dict(_trial_division(n, n if limit is None else limit))
 
 
 def _trial_division(n: int, limit: int):
-    """The distinct prime factors of n >= 1 up to `limit`, ascending, each
-    yielded as soon as it is found, then the cofactor left if it is > 1."""
+    """The distinct prime factors p of n >= 1 up to `limit`, ascending, each
+    yielded as (p, p^a) once its full power is divided out, then (c, c)
+    for the cofactor c left if it is > 1."""
     f = 2
     while f * f <= n and f <= limit:
         if n % f == 0:
-            yield f
+            power = 1
             while n % f == 0:
-                n //= f
+                n, power = n // f, power * f
+            yield f, power
         f += 1 if f == 2 else 2
     if n > 1:
-        yield n
+        yield n, n
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ nonzero residues.  The covered residues and the still-live splitters
   exactly the unions of one cover of each class, and each class is
   searched on its own.  By CRT, r <-> (r mod q/u, r mod u), so |C_d| =
   (q/u) * phi(u/d), less 1 for d = u (zero is excluded).  A tiling needs
-  k_plus + k_minus to divide every |C_d|, a test made before any O(q)
-  set-up; with u = q it is k_plus + k_minus | p - 1 for each prime p | q.
+  span = k_plus + k_minus to divide every |C_d|, a test made before any
+  O(q) set-up: span | q/u - 1 and, as phi(p) divides phi(e) for each prime
+  p | e, span | (q/u) * (p - 1) for each prime p | u.
   The class masks come in closed form.  For e | q the multiples of e in
   [0, q) are the bitmask sum_j 2^(j*e) = (2^q - 1)/(2^e - 1).  For d | u,
   r is a multiple of d iff d | gcd(r, u), that is iff gcd(r, u) = e for
@@ -138,6 +139,7 @@ from .splitting import (
 
 
 COVER_MASKS_MAX_BYTES = 100_000_000  # q up to 28,284
+TRIAL_LIMIT = isqrt(8 * COVER_MASKS_MAX_BYTES) + 1  # 28,285, the smallest order past the budget
 FIND_ALL_MAX_TILINGS = 1_000_000  # tilings a find-all lists (those that hold 1 when deduped)
 
 
@@ -158,7 +160,7 @@ def _cover_blocks(q: int, multipliers: MultiplierSet, check_clock) -> list[int]:
     docstring).  The masks take about q^2/8 bytes, which `search_tilings`
     checks against COVER_MASKS_MAX_BYTES first; the deadline is checked
     once per multiplier pass."""
-    span = len(multipliers)
+    span = multipliers.k_plus + multipliers.k_minus
     valid = [s for s in range(1, q) if gcd(s, q) * span < q]  # ord(s) > span
     holders = [0] * q
     for m in range(1, multipliers.k_plus + 1):
@@ -192,56 +194,47 @@ def _orbit_min(q: int, sets, check_clock) -> list[tuple[int, ...]]:
     return minima
 
 
-def _class_sizes(q: int, k_plus: int) -> tuple[int, dict[int, int]]:
-    """The part u of q made of its primes above k_plus, and |C_d| for each
-    d | u in closed form (see the module docstring).  Trial division stops
-    at B = isqrt(8 * COVER_MASKS_MAX_BYTES) + 1, the smallest order past
-    the budget, so q < B^2 is factored exactly, and takes a cofactor c > 1
-    left, with no prime <= B, as one prime.  For k_plus < B its primes lie
-    in u, and a failed size test is sound: it asks span | q/u - 1 and
+def _size_test(q: int, u: int, powers: dict[int, int], multipliers: MultiplierSet) -> bool:
+    """Whether span divides every |C_d| (module docstring), from `powers`,
+    q's factorisation by `prime_factors(q, TRIAL_LIMIT)`: with B =
+    TRIAL_LIMIT, q < B^2 is factored exactly, and a cofactor c > 1 left,
+    with no prime <= B, is taken as one prime.  For k_plus < B its primes
+    lie in u, and a failed test is sound: it asks span | q/u - 1 and
     m | p - 1 for each prime p | u, m = span/gcd(span, q/u), and if each
     prime of c is 1 mod m, so is c.  Else the budget refuses q >= c > B; a
-    c > B^2 with k_plus >= B, whose primes may be arms, gives no sizes."""
-    bound = isqrt(8 * COVER_MASKS_MAX_BYTES) + 1
-    u, phi = 1, {1: 1}  # each divisor e of u -> phi(e)
-    for p in prime_factors(q, bound):
-        if k_plus >= bound and p > bound * bound:
-            return u, {}
-        if p > k_plus:
-            powers, pi = dict(phi), 1
-            while q % (u * pi * p) == 0:
-                pi *= p
-                powers.update({e * pi: f * (pi - pi // p) for e, f in phi.items()})
-            u, phi = u * pi, powers
-    return u, {u // e: q // u * f - (e == 1) for e, f in phi.items()}
+    c > B^2 with k_plus >= B, whose primes may be arms, passes."""
+    if multipliers.k_plus >= TRIAL_LIMIT and max(powers) > TRIAL_LIMIT**2:
+        return True
+    span = multipliers.k_plus + multipliers.k_minus
+    return (q // u - 1) % span == 0 and all(q // u * (p - 1) % span == 0 for p in powers if u % p == 0)
 
 
-def _layer_witness(q: int, multipliers: MultiplierSet) -> tuple[tuple[int, ...], int, int] | None:
+def _layer_witness(powers: dict[int, int], multipliers: MultiplierSet) -> tuple[tuple[int, ...], int, int] | None:
     """The first (P, L_P, |M_P|) whose layer rule fails, |M_P| not dividing
-    L_P, over the nonempty sets P of the primes p | q with p <= k_plus,
-    smaller sets first, or None (module docstring)."""
+    L_P, over the nonempty sets P of the primes p <= k_plus of q's `powers`
+    p -> p^a, smaller sets first, or None (module docstring)."""
     k_plus, k_minus = multipliers.k_plus, multipliers.k_minus
-    powers = {p: gcd(q, p ** q.bit_length()) for p in prime_factors(q) if p <= k_plus}
-    for size in range(1, len(powers) + 1):
-        for P in combinations(powers, size):
+    small = {p: a for p, a in powers.items() if p <= k_plus}
+    for size in range(1, len(small) + 1):
+        for P in combinations(small, size):
             kept = sum((-1) ** len(T) * (k_plus // prod(T) + k_minus // prod(T))
                        for r in range(size + 1) for T in combinations(P, r))
-            layer = prod(a - a // p if p in P else a for p, a in powers.items())
+            layer = prod(a - a // p if p in P else a for p, a in small.items())
             if layer % kept:
                 return P, layer, kept
     return None
 
 
-def _cyclotomic_witness(q: int, multipliers: MultiplierSet) -> tuple[int, int] | None:
-    """For q whose primes all exceed k_plus, the first prime p | q whose
-    product of r over the balanced s = r^k | p - 1 is not |M|, as (p, that
-    product), or None; None for any other q (module docstring)."""
-    primes = prime_factors(q)
-    if primes[0] <= multipliers.k_plus:
+def _cyclotomic_witness(powers: dict[int, int], multipliers: MultiplierSet) -> tuple[int, int] | None:
+    """For q, of `powers` p -> p^a, whose primes all exceed k_plus, the
+    first prime p | q whose product of r over the balanced s = r^k | p - 1
+    is not |M|, as (p, that product), or None; None for any other q."""
+    span = multipliers.k_plus + multipliers.k_minus
+    if min(powers) <= multipliers.k_plus:
         return None
-    for p in primes:
+    for p in powers:
         balanced = 1
-        for r in prime_factors(gcd(p - 1, len(multipliers))):  # a balanced r^k has r | |M|
+        for r in prime_factors(gcd(p - 1, span)):  # a balanced r^k has r | |M|
             t, levels = p - 1, 0
             while t % r == 0:
                 t, levels = t // r, levels + 1
@@ -252,18 +245,18 @@ def _cyclotomic_witness(q: int, multipliers: MultiplierSet) -> tuple[int, int] |
                     balanced *= r
                 if level > 1:
                     values = sorted([pow(x, r, p) for x in values])
-        if balanced != len(multipliers):
+        if balanced != span:
             return p, balanced
     return None
 
 
-def _class_masks(q: int, divisors) -> dict[int, int]:
-    """C_d as a bitmask for each d among `divisors`, the divisors of u, by
-    inclusion-exclusion over the masks of multiples (module docstring)."""
+def _class_masks(q: int, u: int) -> dict[int, int]:
+    """C_d as a bitmask for each d | u, by inclusion-exclusion over the
+    masks of multiples (module docstring)."""
     masks: dict[int, int] = {}
-    for d in sorted(divisors, reverse=True):  # each multiple of d before d
+    for d in [e for e in range(u, 0, -1) if u % e == 0]:  # each multiple of d before d
         masks[d] = ((1 << q) - 1) // ((1 << d) - 1) - sum(m for e, m in masks.items() if e % d == 0)
-    masks[max(divisors)] -= 1  # 0, which gcd(0, u) = u puts in C_u
+    masks[u] -= 1  # 0, which gcd(0, u) = u puts in C_u
     return masks
 
 
@@ -299,14 +292,15 @@ def search_tilings(
         if deadline is not None and time.monotonic() > deadline:
             raise SearchTimeout(f"search ({k_plus},{k_minus}) over Z_{q} exceeded {time_limit}s")
 
-    _, sizes = _class_sizes(q, multipliers.k_plus)
+    powers = prime_factors(q, TRIAL_LIMIT)  # p -> p^a: q's one factorisation
+    u = prod(a for p, a in powers.items() if p > multipliers.k_plus)  # u: q's primes above k_plus
     check_clock()
-    if any(size % len(multipliers) for size in sizes.values()):
+    if not _size_test(q, u, powers, multipliers):
         return []
-    if q * q // 8 > COVER_MASKS_MAX_BYTES:
-        raise ValueError(f"search over Z_{q} needs about {q * q // 8} bytes of cover masks, "
-                         f"more than {COVER_MASKS_MAX_BYTES}")
-    if _layer_witness(q, multipliers) or _cyclotomic_witness(q, multipliers):
+    if q * q // 8 > COVER_MASKS_MAX_BYTES:  # named, not printed: past 2,150 digits of q, str() refuses it
+        raise ValueError(f"search over Z_{q} needs about q^2/8 bytes of cover masks, "
+                         f"more than the budget of {COVER_MASKS_MAX_BYTES}")
+    if _layer_witness(powers, multipliers) or _cyclotomic_witness(powers, multipliers):
         return []
     holders = _cover_blocks(q, multipliers, check_clock)
     full = (1 << q) - 2  # residues 1..q-1
@@ -355,7 +349,7 @@ def search_tilings(
     # 1 is fixed in S (see the module docstring).  It is valid: span
     # divides the class sizes, which sum to q-1, so ord(1) = q > span.
     block, spared = place(1)
-    masks = _class_masks(q, sizes)
+    masks = _class_masks(q, u)
     roots = [full & ~masks[d] | block for d in sorted(masks) if masks[d]]  # C_1 first
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + q)  # dfs nests one frame per splitter, fewer than q

@@ -44,7 +44,7 @@ class MultiplierSet:
     def __iter__(self):
         return iter(self.elements)
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # len() fails past sys.maxsize: the search and rules add the arms
         return self.k_plus + self.k_minus
 
 

@@ -119,15 +119,19 @@ def test_is_prime():
 
 
 def test_prime_factors():
-    assert prime_factors(1) == []
-    assert prime_factors(60) == [2, 3, 5]
-    assert prime_factors(97) == [97]
+    # each prime, ascending, mapped to its full power
+    assert prime_factors(1) == {}
+    assert prime_factors(60) == {2: 4, 3: 3, 5: 5} and list(prime_factors(60)) == [2, 3, 5]
+    assert prime_factors(97) == {97: 97}
+    assert prime_factors(2**10 * 3**7) == {2: 2**10, 3: 3**7}
+    # past the limit, the cofactor left is taken as one prime
+    assert prime_factors(3 * 7 * 7 * 11, limit=5) == {3: 3, 539: 539}
 
 
 def test_is_prime_agrees_with_prime_factors():
     # is_prime stops after the first factor that prime_factors lists
     for n in range(-5, 20001):
-        assert is_prime(n) == (n >= 2 and prime_factors(n) == [n])
+        assert is_prime(n) == (n >= 2 and prime_factors(n) == {n: n})
 
 
 class Index:

@@ -32,6 +32,7 @@ from quasicross import (
 )
 from quasicross import search as search_mod
 from quasicross.cli import build_parser, main
+from quasicross.groups import prime_factors
 from quasicross.search import survey_instances
 from quasicross.splitting import MultiplierSet, Singularity
 
@@ -145,32 +146,50 @@ def test_each_block_lies_in_one_gcd_class(k_plus):
             assert {gcd(m * s % q, u) for m in ms} == {gcd(s, u)}
 
 
+def size_test(q, u, k_plus, k_minus):
+    """The search's size test on q's one factorisation."""
+    powers = prime_factors(q, search_mod.TRIAL_LIMIT)
+    return search_mod._size_test(q, u, powers, MultiplierSet(k_plus, k_minus))
+
+
 @pytest.mark.parametrize("k_plus", range(2, 11))
 def test_class_sizes_match_a_count(k_plus):
+    # |C_d| = (q/u) * phi(u/d), less 1 for d = u, against a count of each
+    # residue's gcd with u, and the size test's verdict against whether
+    # span divides every counted class, for every arm pair
     for q in range(2, 201):
         u = big_part(q, k_plus)
         counted = Counter(gcd(r, u) for r in range(1, q))
-        assert search_mod._class_sizes(q, k_plus) == (
-            u, {d: counted[d] for d in range(1, u + 1) if u % d == 0}
-        )
+        for d in range(1, u + 1):
+            if u % d == 0:
+                phi = sum(1 for r in range(1, u // d + 1) if gcd(r, u // d) == 1)
+                assert counted[d] == q // u * phi - (d == u)
+        for k_minus in range(1, k_plus):
+            span = k_plus + k_minus
+            assert size_test(q, u, k_plus, k_minus) == all(size % span == 0 for size in counted.values())
 
 
 @pytest.mark.parametrize("k_plus", [2, 3, 5, 10, 100, 30000])
 def test_class_sizes_factor_every_order_below_the_square_of_the_trial_limit(k_plus):
     # trial division stops at 28285, so every q < 28285^2 is factored
-    # exactly: the closed form against a sieve's factorisation of each q
+    # exactly: the factorisation and the size test's verdict against a
+    # sieve's factorisation of each q and the class sizes it gives
     smallest = oracles.smallest_prime_factors(60000)
+    spans = sorted({k_plus + 1, k_plus + k_plus // 2, 2 * k_plus - 1})  # k_minus 1, k_plus/2, k_plus - 1
     for q in range(2, 60001):
         powers, n = Counter(), q
         while n > 1:
             powers[smallest[n]] += 1
             n //= smallest[n]
+        assert prime_factors(q, search_mod.TRIAL_LIMIT) == {p: p**a for p, a in powers.items()}
         phi = {1: 1}  # each divisor e of u -> phi(e)
         for p, a in powers.items():
             if p > k_plus:
                 phi = {e * p**i: f * (p**i - p ** (i - 1) if i else 1) for e, f in phi.items() for i in range(a + 1)}
         u = max(phi)
-        assert search_mod._class_sizes(q, k_plus) == (u, {u // e: q // u * f - (e == 1) for e, f in phi.items()})
+        sizes = [q // u * f - (e == 1) for e, f in phi.items()]
+        for span in spans:
+            assert size_test(q, u, k_plus, span - k_plus) == all(size % span == 0 for size in sizes)
 
 
 @pytest.mark.parametrize("k_plus", range(2, 11))
@@ -181,7 +200,7 @@ def test_class_masks_match_a_gcd_loop(k_plus):
         u = big_part(q, k_plus)
         divisors = [d for d in range(1, u + 1) if u % d == 0]
         expected = {d: sum(1 << r for r in range(1, q) if gcd(r, u) == d) for d in divisors}
-        assert search_mod._class_masks(q, divisors) == expected
+        assert search_mod._class_masks(q, u) == expected
 
 
 @pytest.mark.parametrize("k_plus", range(2, 7))
@@ -209,7 +228,7 @@ def test_layer_witness_matches_a_count_of_each_class(k_plus):
     for k_minus in range(1, k_plus):
         multipliers = MultiplierSet(k_plus, k_minus)
         for q in range(2, 301):
-            assert search_mod._layer_witness(q, multipliers) == oracles.layer_witness(q, k_plus, k_minus)
+            assert search_mod._layer_witness(prime_factors(q), multipliers) == oracles.layer_witness(q, k_plus, k_minus)
 
 
 def decided_by(witness, k_max, q_max):
@@ -217,9 +236,8 @@ def decided_by(witness, k_max, q_max):
     (`_layer_witness` or `_cyclotomic_witness`): those that rule decides."""
     decided = []
     for k_plus, k_minus, q in survey_instances(k_max, q_max):
-        _, sizes = search_mod._class_sizes(q, k_plus)
-        if not any(size % (k_plus + k_minus) for size in sizes.values()):
-            if witness(q, MultiplierSet(k_plus, k_minus)):
+        if size_test(q, big_part(q, k_plus), k_plus, k_minus):
+            if witness(prime_factors(q), MultiplierSet(k_plus, k_minus)):
                 decided.append((k_plus, k_minus, q))
     return decided
 
@@ -256,7 +274,7 @@ def test_cyclotomic_witness_matches_a_discrete_log_table(k_plus):
     for k_minus in range(1, k_plus):
         multipliers = MultiplierSet(k_plus, k_minus)
         for q in range(2, 301):
-            assert search_mod._cyclotomic_witness(q, multipliers) == oracles.cyclotomic_witness(q, k_plus, k_minus)
+            assert search_mod._cyclotomic_witness(prime_factors(q), multipliers) == oracles.cyclotomic_witness(q, k_plus, k_minus)
 
 
 @pytest.mark.parametrize("k_plus,k_minus", [(3, 1), (5, 3), (9, 7)])
@@ -266,7 +284,7 @@ def test_cyclotomic_witness_matches_a_discrete_log_table_on_wide_2_parts(k_plus,
     multipliers, smallest = MultiplierSet(k_plus, k_minus), oracles.smallest_prime_factors(3000)
     for p in range(17, 3000, 16):
         if smallest[p] == p:
-            assert search_mod._cyclotomic_witness(p, multipliers) == oracles.cyclotomic_witness(p, k_plus, k_minus)
+            assert search_mod._cyclotomic_witness({p: p}, multipliers) == oracles.cyclotomic_witness(p, k_plus, k_minus)
 
 
 @pytest.mark.parametrize("k_plus,k_minus", [(3, 1), (7, 1)])
@@ -274,7 +292,7 @@ def test_cyclotomic_witness_matches_a_discrete_log_table_on_12_levels(k_plus, k_
     # 12289 - 1 = 3 * 2^12: the values m^3 are squared level after level;
     # (7,1) is balanced at one level of the 12, (3,1) at none
     expected = oracles.cyclotomic_witness(12289, k_plus, k_minus)
-    assert search_mod._cyclotomic_witness(12289, MultiplierSet(k_plus, k_minus)) == expected
+    assert search_mod._cyclotomic_witness({12289: 12289}, MultiplierSet(k_plus, k_minus)) == expected
 
 
 def test_no_instance_the_cyclotomic_rule_decides_has_a_tiling(monkeypatch):
@@ -286,7 +304,7 @@ def test_no_instance_the_cyclotomic_rule_decides_has_a_tiling(monkeypatch):
 
 @pytest.mark.parametrize("k_plus,k_minus,q", [(4, 2, 181), (3, 1, 577), (4, 2, 973), (3, 1, 745)])
 def test_tiled_nonsingular_instances_pass_the_cyclotomic_rule(k_plus, k_minus, q):
-    assert search_mod._cyclotomic_witness(q, MultiplierSet(k_plus, k_minus)) is None
+    assert search_mod._cyclotomic_witness(prime_factors(q), MultiplierSet(k_plus, k_minus)) is None
     assert search_tilings(k_plus, k_minus, q, find_all=False)
 
 
@@ -294,7 +312,7 @@ def test_the_cyclotomic_rule_decides_a_prime_near_the_cover_mask_budget():
     # 28057 is prime, 4 | 28056 and its masks, about 98 MB, pass the
     # budget, but the rule decides it before any is built: this search
     # once took about a minute and 156 MiB
-    assert search_mod._cyclotomic_witness(28057, MultiplierSet(3, 1)) == (28057, 1)
+    assert search_mod._cyclotomic_witness(prime_factors(28057), MultiplierSet(3, 1)) == (28057, 1)
     start = time.monotonic()
     proc = cli_in_512_mib("search", "--kplus", "3", "--kminus", "1", "--q", "28057")
     assert time.monotonic() - start < 1
@@ -393,15 +411,15 @@ def test_search_matches_the_reference_on_singular_instances(k_plus, k_minus, q):
 def test_search_without_the_layer_rule_matches_the_reference(monkeypatch, k_plus, k_minus, q):
     # the layer rule decides these two before the set-up; with it patched
     # out, the memo and the DFS still meet singular instances with no tiling
-    assert search_mod._layer_witness(q, MultiplierSet(k_plus, k_minus)) is not None
+    assert search_mod._layer_witness(prime_factors(q), MultiplierSet(k_plus, k_minus)) is not None
     monkeypatch.setattr(search_mod, "_layer_witness", lambda *args: None)
     assert_matches_reference(k_plus, k_minus, q)
 
 
 @pytest.mark.parametrize("k_plus,k_minus,q", [(3, 1, 25), (4, 2, 49), (5, 1, 49), (2, 1, 76), (2, 1, 100)])
 def test_search_matches_the_reference_across_classes(k_plus, k_minus, q):
-    _, sizes = search_mod._class_sizes(q, k_plus)
-    assert sum(1 for size in sizes.values() if size) >= 2
+    masks = search_mod._class_masks(q, big_part(q, k_plus))
+    assert sum(1 for mask in masks.values() if mask) >= 2
     assert_matches_reference(k_plus, k_minus, q)
 
 
@@ -582,8 +600,9 @@ def test_search_decides_an_order_with_a_huge_prime_factor_without_factoring_it()
     assert time.monotonic() - start < 1
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0 canonical tiling(s)\n", b"")
     # with k_plus >= 28285 the primes of 2^61 - 1 might be arms, so the
-    # cofactor gives no class sizes and the budget refuses q
-    assert search_mod._class_sizes(q, 30000) == (1, {})
+    # cofactor passes the size test and the budget refuses q
+    assert prime_factors(q, search_mod.TRIAL_LIMIT) == {2: 2, 2**61 - 1: 2**61 - 1}
+    assert not size_test(q, 2**61 - 1, 2, 1) and size_test(q, 2**61 - 1, 30000, 1)
     with pytest.raises(ValueError, match="bytes of cover masks"):
         search_tilings(30000, 1, q)
 
@@ -592,8 +611,8 @@ def test_search_time_limit_holds_during_set_up():
     # 28276 = 4 * 7069: 3 divides its class sizes and neither rule decides
     # it, so its masks, about 100 MB, are built, and that takes longer than
     # the limit (the cyclotomic rule decides 28279, the prime used before)
-    assert search_mod._cyclotomic_witness(28276, MultiplierSet(2, 1)) is None
-    assert search_mod._layer_witness(28276, MultiplierSet(2, 1)) is None
+    assert search_mod._cyclotomic_witness(prime_factors(28276), MultiplierSet(2, 1)) is None
+    assert search_mod._layer_witness(prime_factors(28276), MultiplierSet(2, 1)) is None
     proc = search_in_512_mib("--q", "28276", "--time-limit", "0.01")
     err = b"error: search (2,1) over Z_28276 exceeded 0.01s\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err)
@@ -606,22 +625,59 @@ def test_search_refuses_an_order_whose_cover_masks_pass_the_budget():
     start = time.monotonic()
     proc = search_in_512_mib("--q", "64033")
     assert time.monotonic() - start < 1
-    err = b"error: search over Z_64033 needs about 512528136 bytes of cover masks, more than 100000000\n"
+    err = b"error: search over Z_64033 needs about q^2/8 bytes of cover masks, more than the budget of 100000000\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err)
     assert 64033**2 // 8 > search_mod.COVER_MASKS_MAX_BYTES >= 28276**2 // 8
     # the cyclotomic rule decides 64033, but runs after the budget test, as
     # the layer rule does, so every order past the budget is refused alike
-    assert search_mod._cyclotomic_witness(64033, MultiplierSet(2, 1)) == (64033, 1)
+    assert search_mod._cyclotomic_witness(prime_factors(64033), MultiplierSet(2, 1)) == (64033, 1)
 
 
 def test_the_cover_mask_budget_is_checked_before_the_layer_rule():
     # P = {2}: |M_P| = |{-1, 1, 3}| = 3 does not divide phi(2^16), so the
     # rule decides (4,1,65536), but its masks pass the budget, and every
     # order past it is refused alike
-    assert search_mod._layer_witness(65536, MultiplierSet(4, 1)) == ((2,), 32768, 3)
+    assert search_mod._layer_witness(prime_factors(65536), MultiplierSet(4, 1)) == ((2,), 32768, 3)
     proc = cli_in_512_mib("search", "--kplus", "4", "--kminus", "1", "--q", "65536")
-    err = b"error: search over Z_65536 needs about 536870912 bytes of cover masks, more than 100000000\n"
+    err = b"error: search over Z_65536 needs about q^2/8 bytes of cover masks, more than the budget of 100000000\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", err)
+
+
+def test_the_budget_refusal_of_a_2228_digit_order_names_the_budget():
+    # q^2/8 has 4455 digits, past str()'s 4300-digit limit, so the refusal
+    # names the budget instead of printing it
+    q = 4**3700
+    proc = search_in_512_mib("--q", str(q))
+    err = f"error: search over Z_{q} needs about q^2/8 bytes of cover masks, more than the budget of 100000000\n"
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", err)
+
+
+@pytest.mark.parametrize("k_plus,k_minus,q", [(10, 2, 73), (4, 1, 16), (2, 1, 100)])
+def test_search_factors_q_once(monkeypatch, k_plus, k_minus, q):
+    # the cyclotomic rule decides (10,2,73), the layer rule (4,1,16) and the
+    # size test (2,1,100): each reads the one factorisation of q
+    calls, factor = [], search_mod.prime_factors
+
+    def counted(n, *limit):
+        calls.append(n)
+        return factor(n, *limit)
+
+    monkeypatch.setattr(search_mod, "prime_factors", counted)
+    assert search_tilings(k_plus, k_minus, q) == []
+    assert calls.count(q) == 1
+
+
+def test_arms_past_sys_maxsize_are_decided(capsys):
+    # span = 10^19 + 1 does not fit an index-sized integer, so len() of the
+    # multipliers could not return it; the size test needs span | 7 - 1
+    k_plus = 10**19
+    assert k_plus > sys.maxsize
+    assert search_tilings(k_plus, 1, 7) == []
+    argv = ["--kplus", str(k_plus), "--kminus", "1", "--q", "7"]
+    assert main(["search", *argv]) == 0
+    assert capsys.readouterr() == ("0 canonical tiling(s)\n", "")
+    assert main(["bounds", *argv]) == 0
+    assert capsys.readouterr() == (f"ruled out: divisibility ({k_plus + 1} does not divide 7-1)\n", "")
 
 
 def test_search_refuses_a_huge_find_all_from_its_count():
