@@ -6,8 +6,8 @@ of the group exponent.  Codes need a group (Z_v)^k with equal cyclic
 orders, so the syndrome of a word x is k integer dot products,
 sum_i x_i * s_i[j] mod v for j < k, over splitter columns precomputed
 once per code.  The encoder fills the free coordinates with the
-information digits and solves the k pivot residues with the inverse of
-the pivot system mod v, also precomputed.  A received word decodes by
+information digits and reads the k pivot residues off the reduced
+echelon rows mod v, also precomputed.  A received word decodes by
 computing its syndrome and inverting the unique product representation
 m*s_i, which locates the single error coordinate and magnitude.  For
 tiling-based codes every nonzero syndrome is decodable (the code is
@@ -51,33 +51,33 @@ class SyndromeTable:
 
 
 def _unit_pivots(splitters, v: int):
-    """Gauss-Jordan elimination mod v with unit pivots over the splitter
-    columns, taken in order: a column joins the pivots when its reduced
-    form has a unit entry in a row no earlier pivot holds (the first such
-    row becomes its pivot row); otherwise it is skipped.  Stops at k
-    pivots.  Returns the pivots and the inverse mod v of their system
-    (row c inverts pivot c), or None when fewer than k columns qualify.
-    Complete for prime-power v: the result is then the lexicographically
-    first k-subset whose determinant is a unit."""
+    """Gauss-Jordan elimination mod v with unit pivots on the k rows of
+    splitter coordinates (entry i of row j is coordinate j of s_i),
+    columns taken in order: a column joins the pivots when it has a unit
+    entry in a row no earlier pivot holds (the first such row becomes its
+    pivot row); otherwise it is skipped.  Stops at k pivots.  Returns the
+    pivots and the reduced rows (row c has 1 at pivot c and 0 at the
+    others), or None when fewer than k columns qualify.  Complete for
+    prime-power v: the result is then the lexicographically first
+    k-subset whose determinant is a unit."""
     k = len(splitters[0])
-    # the accumulated row operations; it reduces each candidate column
-    ops = [[int(i == r) for i in range(k)] for r in range(k)]
-    pivots, rows = [], []
-    for i, column in enumerate(splitters):
-        reduced = [sum(map(mul, row, column)) % v for row in ops]
-        r = next((r for r in range(k) if r not in rows and gcd(reduced[r], v) == 1), None)
+    rows = list(zip(*splitters))
+    pivots, held = [], []
+    for i in range(len(splitters)):
+        r = next((r for r in range(k) if r not in held and gcd(rows[r][i], v) == 1), None)
         if r is None:
             continue
-        inv = pow(reduced[r], -1, v)
-        ops[r] = [(x * inv) % v for x in ops[r]]
+        inv = pow(rows[r][i], -1, v)
+        if inv != 1:  # a pass of n saved per code set-up: most constructions' pivots are 1
+            rows[r] = [(x * inv) % v for x in rows[r]]
         for other in range(k):
-            f = reduced[other]
+            f = rows[other][i]
             if other != r and f:
-                ops[other] = [(x - f * y) % v for x, y in zip(ops[other], ops[r])]
+                rows[other] = [(x - f * y) % v for x, y in zip(rows[other], rows[r])]
         pivots.append(i)
-        rows.append(r)
+        held.append(r)
         if len(pivots) == k:
-            return tuple(pivots), [ops[r] for r in rows]
+            return tuple(pivots), [rows[r] for r in held]
     return None
 
 
@@ -90,18 +90,18 @@ class CodeSpec:
     a positive multiple of v.  The pivot coordinates the encoder solves
     for are derived: the first splitter columns forming an invertible
     system.  Set-up precomputes the flat integer form the codec runs on:
-    the k splitter columns (entry i of column j is coordinate j of s_i),
-    their restriction to the free coordinates, and the inverse mod v of
-    the pivot system.  Raises ValueError on any invalid input, splitter
-    columns with no invertible pivot system included."""
+    the k splitter columns (entry i of column j is coordinate j of s_i)
+    and `solve`, row c of which gives pivot c's residue as a dot product
+    with the free coordinates: minus the reduced echelon row c there, mod
+    v.  Raises ValueError on any invalid input, splitter columns with no
+    invertible pivot system included."""
 
     splitting: Splitting
     levels: int
     pivots: tuple[int, ...] = field(init=False)
     free_coordinates: tuple[int, ...] = field(init=False, repr=False, compare=False)
     columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    free_columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    pivot_inverse: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    solve: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         sp = self.splitting
@@ -114,15 +114,13 @@ class CodeSpec:
         found = _unit_pivots(sp.splitters, v)
         if found is None:
             raise ValueError("no invertible pivot system found among the splitter columns")
-        pivots, inverse = found
+        pivots, reduced = found
         free = tuple(i for i in range(sp.n) if i not in pivots)
-        columns = tuple(zip(*sp.splitters))
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "free_coordinates", free)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "free_columns", tuple(tuple(col[i] for i in free) for col in columns))
-        object.__setattr__(self, "pivot_inverse", tuple(map(tuple, inverse)))
+        object.__setattr__(self, "columns", tuple(zip(*sp.splitters)))
+        object.__setattr__(self, "solve", tuple(tuple(-row[i] % v for i in free) for row in reduced))
 
     @property
     def n(self) -> int:
@@ -183,8 +181,7 @@ def encode(cs: CodeSpec, info, quotients=0) -> tuple[int, ...]:
     if any(not 0 <= t < cs.quotient_levels for t in quotients):
         raise ValueError(f"quotient digits must lie in [0, {cs.quotient_levels})")
 
-    rhs = [-sum(map(mul, info, col)) for col in cs.free_columns]
-    digits = [sum(map(mul, row, rhs)) % v + v * t for row, t in zip(cs.pivot_inverse, quotients)]
+    digits = [sum(map(mul, row, info)) % v + v * t for row, t in zip(cs.solve, quotients)]
     word = info
     for i, x in sorted(zip(cs.pivots, digits)):  # ascending, so each lands at i
         word.insert(i, x)

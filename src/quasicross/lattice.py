@@ -261,23 +261,19 @@ def render_2d(lat: IntegerLattice, shape: QuasiCrossShape, window: int) -> str:
         raise ValueError("lattice dimension must be 2")
     if window < 0:
         raise ValueError(f"window must be >= 0, got {window}")
-    canonical = lat.hnf()
-    (a, _), (_, c) = canonical.basis  # the HNF diagonal: det = a * c
-    cells = (2 * window + 1) ** 2 * shape.volume // (a * c)
+    cells = (2 * window + 1) ** 2 * shape.volume // determinant(lat)
     if cells > RENDER_2D_MAX_CELLS:
         raise ValueError(
             f"window {window} would draw about {cells} cells, more than {RENDER_2D_MAX_CELLS}"
         )
-    points = _lattice_points_2d(canonical, window)
+    points = _lattice_points_2d(lat.hnf(), window)
 
     coverage: dict[tuple[int, int], int] = {}
-    centers = set()
+    centers = set(points)  # the center cell of each cross is its lattice point
     for (vx, vy) in points:
         for cell in shape.cells():
             cx, cy = vx + cell[0], vy + cell[1]
             coverage[(cx, cy)] = coverage.get((cx, cy), 0) + 1
-            if cell == (0, 0):
-                centers.add((cx, cy))
 
     extent = (window + shape.k_plus + 1) * _UNIT
     out = []

@@ -360,14 +360,13 @@ def search_tilings(
         del dfs  # it refers to itself, which would keep the memo until the cyclic GC runs
     if not found:
         return []
+    # a raw find-all lists m^-1 * S for m in U_M (module docstring); any other search, 1 * S
+    inverses = [pow(m, -1, q) for m in multipliers if gcd(m, q) == 1] if find_all and not dedupe else [1]
     if find_all:
         paths = {full: 1}  # covered -> the covers below it; a child enters the memo first
         for covered, branches in memo.items():
             paths[covered] = sum(paths[child] for _, child in branches)
-        raw = prod(paths[root] for root in roots)
-        if not dedupe:  # the raw tilings are m^-1 * S for m in U_M (module docstring)
-            inverses = [pow(m, -1, q) for m in multipliers if gcd(m, q) == 1]
-            raw *= len(inverses)
+        raw = prod(paths[root] for root in roots) * len(inverses)
         if raw > FIND_ALL_MAX_TILINGS:
             held = "tilings that hold 1" if dedupe else "raw tilings"
             raise ValueError(f"search ({k_plus},{k_minus}) over Z_{q} has {raw} {held}, "
@@ -385,11 +384,9 @@ def search_tilings(
             stack.extend((depth + 1, s, child, entered) for s, child in reversed(memo[covered]))
     if dedupe:
         canonical = sorted(_orbit_min(q, solutions, check_clock))
-    elif find_all:  # distinct by the bijection; check_clock, None unless late, runs once per S
-        canonical = sorted(_scaled(q, u, values)
-                           for values in solutions if not check_clock() for u in inverses)
-    else:
-        canonical = solutions
+    else:  # distinct by the bijection; check_clock, None unless late, runs once per S
+        canonical = sorted(_scaled(q, m, values)
+                           for values in solutions if not check_clock() for m in inverses)
     out = []
     for values in canonical:
         sp = make_cyclic_splitting(q, k_plus, k_minus, values)
@@ -503,17 +500,18 @@ def survey(
     if next(survey_instances(k_max, q_max), None) is None:  # never listed: the grid may be huge
         raise ValueError(f"no instance with n >= 2 has k_plus <= {k_max} and q <= {q_max}")
     done = _read_log(progress_path) if progress_path else {}
-    # an unsearched row, left by a pruned run, is redone by an unpruned one
-    reused = {key for key, row in done.items() if row.searched or prune_with_bounds}
-    todo = ((*key, prune_with_bounds, time_limit)
-            for key in survey_instances(k_max, q_max) if key not in reused)
+    rows = []
     with open(progress_path, "a", encoding="utf-8") if progress_path else nullcontext() as log:
-        for row in map(_run_instance, todo):
-            done[row.k_plus, row.k_minus, row.q] = row
-            if log:
-                log.write(json.dumps(asdict(row)) + "\n")
-                log.flush()
-    return [done[key] for key in survey_instances(k_max, q_max)]
+        for key in survey_instances(k_max, q_max):
+            row = done.get(key)
+            # an unsearched row, left by a pruned run, is redone by an unpruned one
+            if row is None or not (row.searched or prune_with_bounds):
+                row = _run_instance((*key, prune_with_bounds, time_limit))
+                if log:
+                    log.write(json.dumps(asdict(row)) + "\n")
+                    log.flush()
+            rows.append(row)
+    return rows
 
 
 def survey_csv(rows: list[SurveyRow]) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 
-from .groups import Element, FiniteAbelianGroup, cyclic_group, integers
+from .groups import Element, FiniteAbelianGroup, cyclic_group, integers, prime_factors
 
 SCAN_MAX_PRODUCTS = 500_000  # at 100-200 B each, about 100 MB
 
@@ -222,11 +222,12 @@ def classify_singularity(sp: Splitting) -> Singularity:
     """Non-singular: every multiplier is coprime to |G|.  Purely singular:
     every prime divisor of |G| divides some multiplier.  Singular: neither.
     A prime divides a multiplier exactly when it is <= k_plus, and is then
-    one itself, so dividing 2..k_plus out of |G| decides it: O(k_plus)."""
+    one itself, so trial division of |G| stopped at k_plus decides it:
+    O(min(k_plus, sqrt|G|)) steps."""
     order = rest = sp.group.order
-    for p in range(2, sp.multipliers.k_plus + 1):
-        while rest % p == 0:
-            rest //= p
+    for p, power in prime_factors(order, sp.multipliers.k_plus).items():
+        if p <= sp.multipliers.k_plus:
+            rest //= power
     if rest == order:
         return Singularity.NON_SINGULAR
     return Singularity.PURELY_SINGULAR if rest == 1 else Singularity.SINGULAR

@@ -202,7 +202,7 @@ def test_direct_codespec_equals_make_code(levels):
     cs = CodeSpec(sp, levels)
     assert cs == make_code(sp, levels)
     assert type(cs.levels) is int and cs.pivots == (0,)
-    assert cs.pivot_inverse == make_code(sp, levels).pivot_inverse
+    assert cs.solve == make_code(sp, levels).solve
 
 
 def test_auto_pivots_take_one_elimination(monkeypatch):

@@ -473,12 +473,35 @@ def test_syndrome_matches_image(cs, data):
 
 @settings(max_examples=200, deadline=None)
 @given(any_codes)
-def test_pivot_inverse_is_an_inverse(cs):
+def test_solve_completes_each_free_unit_vector(cs):
+    # solve's column at free coordinate f, put at the pivots, completes e_f
+    # to a codeword; the pivot system it solves is invertible mod v
     v, k = cs.splitting.group.orders[0], len(cs.pivots)
     a = [[cs.splitting.splitters[i][j] for i in cs.pivots] for j in range(k)]
-    product = [[sum(cs.pivot_inverse[r][t] * a[t][c] for t in range(k)) % v for c in range(k)] for r in range(k)]
-    assert product == [[int(r == c) for c in range(k)] for r in range(k)]
+    assert gcd(bareiss_det(a), v) == 1
     assert cs.free_coordinates == tuple(i for i in range(cs.n) if i not in cs.pivots)
+    assert all(0 <= x < v for row in cs.solve for x in row)
+    for t, f in enumerate(cs.free_coordinates):
+        word = [0] * cs.n
+        word[f] = 1
+        for i, row in zip(cs.pivots, cs.solve):
+            word[i] = row[t]
+        assert not any(image(cs.splitting, word)), (f, word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_codes, st.data())
+def test_encode_keeps_info_at_the_free_coordinates(cs, data):
+    # pivots need not lead: equal_order_codes shuffles the unit vectors in
+    info = data.draw(st.lists(st.integers(0, cs.levels - 1), min_size=len(cs.free_coordinates),
+                              max_size=len(cs.free_coordinates)))
+    quotients = data.draw(st.lists(st.integers(0, cs.quotient_levels - 1), min_size=len(cs.pivots),
+                                   max_size=len(cs.pivots)))
+    word = encode(cs, info, quotients)
+    assert [word[i] for i in cs.free_coordinates] == info
+    assert [word[i] // cs.splitting.group.orders[0] for i in cs.pivots] == quotients
+    assert all(0 <= x < cs.levels for x in word)
+    assert not any(image(cs.splitting, word))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import time
 from math import gcd
 
 import pytest
@@ -111,12 +112,21 @@ def test_classify_singularity():
     assert classify_singularity(z17_example()) is Singularity.NON_SINGULAR
     sp = make_cyclic_splitting(6, 2, 1, [1])
     assert classify_singularity(sp) is Singularity.SINGULAR
+    # trial division stops at the root of 7, not at k_plus = 10^12; and at
+    # k_plus = 10^6 for the prime 2^61 - 1, far below its root
+    start = time.monotonic()
+    assert classify_singularity(make_cyclic_splitting(7, 10**12, 1, [1])) is Singularity.PURELY_SINGULAR
+    assert time.monotonic() - start < 1
+    assert classify_singularity(make_cyclic_splitting(2**61 - 1, 10**6, 1, [1])) is Singularity.NON_SINGULAR
 
 
 def test_classify_singularity_matches_the_brute_force_primes():
-    # dividing 2..k_plus out of |G| decides it, as the primes <= k_plus
-    # are exactly those dividing a multiplier
+    # trial division of |G| stopped at k_plus decides it, as the primes
+    # <= k_plus are exactly those dividing a multiplier; on every group
+    # the wide arms have k_plus >= sqrt|G| (45) or k_plus >= |G| (2000,
+    # 2500), where the division stops at the root, not at k_plus
     arms = [MultiplierSet(k_plus, k_minus) for k_plus in range(2, 13) for k_minus in range(1, k_plus)]
+    arms += [MultiplierSet(k_plus, k_minus) for k_plus, k_minus in [(45, 1), (45, 44), (2000, 1), (2500, 7)]]
     groups = [FiniteAbelianGroup((q,)) for q in range(2, 2001)]
     groups += [FiniteAbelianGroup(orders) for orders in [(2, 2, 2), (4, 6), (3, 9, 5), (7, 14), (11, 11), (6, 10, 15)]]
     for group in groups:
