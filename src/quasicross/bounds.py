@@ -121,7 +121,7 @@ def group_order_constraints(k_plus: int, k_minus: int, q: int) -> FeasibilityRep
         w = k_plus.bit_length() - 1
         if k_plus == 1 << w:
             base = 1 << (w + 1)
-            power = _is_power_of(q, base)
+            power = q & (q - 1) == 0 and (q.bit_length() - 1) % (w + 1) == 0
             rules.append(
                 RuleCheck(
                     "two-power-order",
@@ -130,14 +130,6 @@ def group_order_constraints(k_plus: int, k_minus: int, q: int) -> FeasibilityRep
                 )
             )
     return FeasibilityReport(k_plus, k_minus, q, n, tuple(rules))
-
-
-def _is_power_of(q: int, base: int) -> bool:
-    while q > 1:
-        if q % base:
-            return False
-        q //= base
-    return q == 1
 
 
 def _shape_rules(shape: QuasiCrossShape) -> tuple[RuleCheck, ...]:

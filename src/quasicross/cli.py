@@ -4,8 +4,8 @@ Subcommands: construct, verify, lattice, search, survey, bounds, encode,
 decode, plot.  Exit codes: 0 success, 1 negative verification result
 (non-packing input, uncorrectable word), 2 usage or precondition error
 (a time limit or the memory exceeded included), 3 internal fault,
-130 interrupted (Ctrl-C).  Every subcommand is deterministic given
-identical flags.
+130 interrupted (Ctrl-C), 141 stdout closed by its reader.  Every
+subcommand is deterministic given identical flags.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import signal
 import sys
 from fractions import Fraction
@@ -29,6 +30,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a write to a closed pipe
 
 
 def _read_splitting(path: str) -> split_mod.Splitting:
@@ -128,8 +130,7 @@ def _cmd_lattice(args) -> int:
     sp = split_mod.from_json_dict(data)
     check = split_mod.verify_packing(sp)
     if not check.ok:
-        print(f"not a packing: collision {check.collision.describe()}", file=sys.stderr)
-        return EXIT_NEGATIVE
+        raise split_mod.NotAPacking(check.collision)
     lat = lattice_mod.lattice_from_splitting(sp)
     print(lattice_mod.lattice_to_json(lat))
     return EXIT_OK
@@ -202,33 +203,17 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     cs = codec_mod.make_code(_read_splitting(args.code), args.levels)
-    try:
-        result = codec_mod.decode(cs, args.word)
-    except codec_mod.NotAPacking as exc:
-        print(f"not a packing: collision {exc.collision.describe()}", file=sys.stderr)
-        return EXIT_NEGATIVE
+    result = codec_mod.decode(cs, args.word)
     if result.uncorrectable:
         _emit(args, ["uncorrectable"], {"status": "uncorrectable"})
         return EXIT_NEGATIVE
     word = " ".join(str(x) for x in result.codeword)
-    if result.correction is None:
-        _emit(
-            args,
-            [f"codeword {word}, no error"],
-            {"status": "clean", "codeword": list(result.codeword)},
-        )
-    else:
+    line, payload = f"codeword {word}, no error", {"status": "clean", "codeword": list(result.codeword)}
+    if result.correction is not None:
         i, m = result.correction
-        _emit(
-            args,
-            [f"codeword {word}, corrected (i={i + 1}, m={m:+d})"],
-            {
-                "status": "corrected",
-                "codeword": list(result.codeword),
-                "coordinate": i + 1,
-                "magnitude": m,
-            },
-        )
+        line = f"codeword {word}, corrected (i={i + 1}, m={m:+d})"
+        payload.update(status="corrected", coordinate=i + 1, magnitude=m)
+    _emit(args, [line], payload)
     return EXIT_OK
 
 
@@ -359,7 +344,15 @@ def main(argv=None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(extra)}")
     previous = signal.signal(signal.SIGINT, _interrupt)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return code
+    except split_mod.NotAPacking as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_NEGATIVE
+    except BrokenPipeError:  # the reader is gone: write nothing more, not even at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except (ValueError, OverflowError, OSError, search_mod.SearchTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

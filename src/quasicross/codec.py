@@ -25,15 +25,7 @@ from math import gcd
 from operator import index, mul
 
 from .groups import Element, integers
-from .splitting import Splitting, _scan_products
-
-
-class NotAPacking(RuntimeError):
-    """A syndrome table asked of a non-packing; carries the scan's first collision."""
-
-    def __init__(self, collision):
-        super().__init__(f"syndrome table over a non-packing: {collision.describe()}")
-        self.collision = collision
+from .splitting import NotAPacking, Splitting, _scan_products
 
 
 class SyndromeTable:

@@ -437,21 +437,6 @@ def survey_instances(k_max: int, q_max: int):
                 yield k_plus, k_minus, q
 
 
-def _run_instance(args) -> SurveyRow:
-    k_plus, k_minus, q, prune, time_limit = args
-    report = instance_feasibility(k_plus, k_minus, q)
-    triggered = tuple(r.name for r in report.triggered())
-    start = time.monotonic()
-    if prune and report.ruled_out:
-        return SurveyRow(k_plus, k_minus, q, report.n, True, triggered, False, (), 0.0)
-    found = search_tilings(k_plus, k_minus, q, time_limit=time_limit)
-    elapsed = time.monotonic() - start
-    tilings = tuple(sp.splitter_values() for sp in found)
-    return SurveyRow(
-        k_plus, k_minus, q, report.n, report.ruled_out, triggered, True, tilings, elapsed
-    )
-
-
 def _read_log(path: str) -> dict[tuple[int, int, int], SurveyRow]:
     """The rows of a progress log by instance.  A torn last line, left by
     a kill during a write, is cut off so that appended rows stay valid
@@ -506,7 +491,16 @@ def survey(
             row = done.get(key)
             # an unsearched row, left by a pruned run, is redone by an unpruned one
             if row is None or not (row.searched or prune_with_bounds):
-                row = _run_instance((*key, prune_with_bounds, time_limit))
+                report = instance_feasibility(*key)
+                triggered = tuple(r.name for r in report.triggered())
+                if prune_with_bounds and report.ruled_out:
+                    row = SurveyRow(*key, report.n, True, triggered, False, (), 0.0)
+                else:
+                    start = time.monotonic()
+                    found = search_tilings(*key, time_limit=time_limit)
+                    elapsed = time.monotonic() - start
+                    tilings = tuple(sp.splitter_values() for sp in found)
+                    row = SurveyRow(*key, report.n, report.ruled_out, triggered, True, tilings, elapsed)
                 if log:
                     log.write(json.dumps(asdict(row)) + "\n")
                     log.flush()

@@ -101,6 +101,14 @@ class Collision:
         return f"{left} = {self.m2}*{fmt_element(self.s2)} = {fmt_element(self.product)}"
 
 
+class NotAPacking(RuntimeError):
+    """A non-packing where a packing is needed; carries the scan's first collision."""
+
+    def __init__(self, collision: Collision):
+        super().__init__(f"not a packing: collision {collision.describe()}")
+        self.collision = collision
+
+
 @dataclass(frozen=True)
 class PackingCheck:
     """tiling: the products pack and, together with 0, fill G."""

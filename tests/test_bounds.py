@@ -81,6 +81,21 @@ def test_two_power_rule_w2():
     assert allowed == {8, 64, 512}
 
 
+def divides_down_to_1(q: int, base: int) -> bool:
+    while q % base == 0:
+        q //= base
+    return q == 1
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])  # w = 0 would be arms (1, 0), which have no rule
+def test_two_power_rule_agrees_with_a_division_loop(w):
+    # the rule reads q's bits; 2^7401 is a power of 8 but not of 4, 16 or 32
+    base = 2 ** (w + 1)
+    for q in [*range(2, 2**13 + 1), 4**3700, 4**3700 + 4, 2**7401]:
+        (rule,) = (r for r in group_order_constraints(2**w, 2**w - 1, q).rules if r.name == "two-power-order")
+        assert rule.ruled_out is not divides_down_to_1(q, base), (w, q)
+
+
 def test_ruled_out_always_has_witness():
     for q in range(2, 101):
         report = instance_feasibility(2, 1, q)

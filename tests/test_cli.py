@@ -5,15 +5,17 @@ import io
 import json
 import os
 import signal
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasicross import cyclic_splitting, from_json, to_json, make_cyclic_splitting
+from quasicross import cyclic_splitting, from_json, to_json, make_cyclic_splitting, two_one_splitting
 from quasicross import lattice as lattice_mod
 from quasicross import search as search_mod
 from quasicross import splitting as split_mod
@@ -166,6 +168,26 @@ def test_lattice_refuses_from_the_json_list_length_before_validating(capsys, tmp
     splitters = [[s] for s in range(1, count)] + [[count + 0.5]]
     path.write_text(json.dumps({"orders": [100003], "k_plus": 2, "k_minus": 1, "splitters": splitters}), encoding="utf-8")
     assert run_cli(capsys, "lattice", str(path)) == (2, "", err)
+
+
+@pytest.mark.parametrize("argv,head", [(["lattice", "z1024.json"], b'{"basis": '), (["construct", "two-one"], b"")],
+                         ids=["lattice-z1024", "construct-z4"])
+def test_a_stdout_closed_by_its_reader_exits_141_with_nothing_on_stderr(tmp_path, argv, head):
+    # the Z_1024 lattice, 350,235 bytes, outgrows the pipe's buffer, so its
+    # write fails once the reader is gone; the BrokenPipeError, an OSError,
+    # was reported as a usage error: exit 2 and `error: [Errno 32] Broken
+    # pipe`.  The Z_4 JSON waits in stdout's buffer, whose flush at exit,
+    # after `main`, failed as exit 120 and `Exception ignored ...
+    # BrokenPipeError` (an empty PYTHONUNBUFFERED keeps the buffer, as a
+    # default run has it)
+    (tmp_path / "z1024.json").write_text(to_json(two_one_splitting(5)), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(search_mod.__file__).parents[1]), PYTHONUNBUFFERED="")
+    proc = subprocess.Popen([sys.executable, "-m", "quasicross", *argv], cwd=tmp_path, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(len(head)) == head
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 NON_PACKING = json.dumps({"orders": [17], "k_plus": 3, "k_minus": 2, "splitters": [[1], [2]]})

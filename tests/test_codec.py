@@ -21,6 +21,7 @@ from quasicross import (
     two_one_splitting,
 )
 from quasicross import codec as codec_mod
+from quasicross import splitting as split_mod
 from quasicross.splitting import _scan_products
 
 import oracles
@@ -71,6 +72,13 @@ def test_build_table_covers_tiling():
 
 def test_build_table_rejects_non_packing():
     with pytest.raises(RuntimeError):
+        SyndromeTable(make_cyclic_splitting(17, 3, 2, [1, 2]))
+
+
+def test_the_table_raises_the_one_non_packing_error_of_splitting():
+    # `main` reports it once, as `lattice` and `decode` both raise it
+    assert codec_mod.NotAPacking is split_mod.NotAPacking
+    with pytest.raises(split_mod.NotAPacking, match=r"^not a packing: collision -2\*1 = -1\*2 = 15$"):
         SyndromeTable(make_cyclic_splitting(17, 3, 2, [1, 2]))
 
 

@@ -559,7 +559,7 @@ def test_nan_time_limit_and_jobs_below_1_exit_2_before_any_search(capsys, monkey
         raise AssertionError("searched")
 
     monkeypatch.setattr(search_mod, "_cover_blocks", searched)
-    monkeypatch.setattr(search_mod, "_run_instance", searched)
+    monkeypatch.setattr(search_mod, "instance_feasibility", searched)
     if error is None:
         with pytest.raises(SystemExit) as exit_:
             main(argv)
@@ -730,12 +730,15 @@ def test_raw_tilings_are_every_class_scaled_by_every_unit():
         assert [sp.splitter_values() for sp in raw] == expected, (k_plus, k_minus, q)
 
 
-def test_raw_search_lists_without_scaling_by_all_of_z_q():
-    # (4,2,2401) lists 1296 raw tilings; scaling its classes by all 2058
-    # units of Z_2401 once took about 30 s
-    start = time.monotonic()
+def test_raw_search_lists_without_scaling_by_all_of_z_q(monkeypatch):
+    # (4,2,2401) lists 1296 raw tilings, its 216 sets that hold 1 each
+    # scaled by the 6 units of M; scaling them by all 2058 units of
+    # Z_2401 once took about 30 s
+    scaled, calls = search_mod._scaled, []
+    monkeypatch.setattr(search_mod, "_scaled", lambda *args: calls.append(args) or scaled(*args))
+    assert len(search_tilings(4, 2, 2401, dedupe=False)) == 1296
+    assert len(calls) == 216 * 6
     proc = cli_in_512_mib("search", "--kplus", "4", "--kminus", "2", "--q", "2401", "--raw")
-    assert time.monotonic() - start < 2
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout.startswith(b"1296 raw splitter set(s)\n")
 
@@ -917,25 +920,35 @@ def test_survey_timeout_keeps_finished_rows(tmp_path):
 def test_survey_interrupt_keeps_finished_rows(monkeypatch, tmp_path):
     fresh = strip(survey(k_max=3, q_max=40, prune_with_bounds=False))
     log = tmp_path / "progress.jsonl"
-    run = search_mod._run_instance
+    run = search_mod.search_tilings
     calls = []
 
-    def interrupted(args):
-        # each finished row is on disk before the next instance starts;
-        # the tenth call is interrupted and logs nothing
+    def interrupted(*args, **kwargs):
+        # each finished row is on disk before the next search starts;
+        # the tenth search is interrupted and logs nothing
         assert len(log.read_bytes().splitlines()) == len(calls) - (len(calls) >= 10)
         calls.append(args)
         if len(calls) == 10:
             raise KeyboardInterrupt
-        return run(args)
+        return run(*args, **kwargs)
 
-    monkeypatch.setattr(search_mod, "_run_instance", interrupted)
+    monkeypatch.setattr(search_mod, "search_tilings", interrupted)
     with pytest.raises(KeyboardInterrupt):
         survey(k_max=3, q_max=40, prune_with_bounds=False, progress_path=str(log))
     assert strip(logged(log)) == fresh[:9]
     resumed = survey(k_max=3, q_max=40, prune_with_bounds=False, progress_path=str(log))
     assert len(calls) == 10 + len(fresh) - 9  # only the unlogged instances run again
     assert strip(resumed) == fresh
+
+
+def test_survey_times_each_search_without_its_feasibility_report(monkeypatch):
+    # a row's elapsed starts after the rules have reported and stops when
+    # the search returns, so a slow report does not show in it
+    report = search_mod.instance_feasibility
+    monkeypatch.setattr(search_mod, "instance_feasibility", lambda *key: time.sleep(0.05) or report(*key))
+    searched = [row for row in survey(k_max=3, q_max=40) if row.searched]
+    assert searched
+    assert all(row.elapsed < 0.05 for row in searched)
 
 
 def test_survey_drops_torn_last_line(tmp_path):
@@ -999,10 +1012,10 @@ def test_survey_skips_blank_log_lines(monkeypatch, tmp_path):
     lines = log.read_bytes().splitlines(keepends=True)
     log.write_bytes(b"".join(lines[:2] + [b"\n", b"  \n"] + lines[2:]))
 
-    def searched(args):
+    def searched(*args):
         raise AssertionError(f"searched {args}")
 
-    monkeypatch.setattr(search_mod, "_run_instance", searched)  # every row is logged
+    monkeypatch.setattr(search_mod, "instance_feasibility", searched)  # every row is logged
     assert survey(k_max=2, q_max=40, progress_path=str(log)) == fresh
 
 
