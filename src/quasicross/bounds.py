@@ -70,13 +70,10 @@ def max_positive_arm(n: int) -> int:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Verdict plus the individual rule evaluations for one candidate
-    (k_plus, k_minus, q) instance; a ruled-out verdict always has at
-    least one triggered rule with its arithmetic witness."""
+    """Verdict plus the rule evaluations at dimension n: the given one, or
+    an instance's (q-1)/(k_plus+k_minus), None if that is not an integer.
+    A ruled-out verdict always has a triggered rule with its witness."""
 
-    k_plus: int
-    k_minus: int
-    q: int
     n: int | None
     rules: tuple[RuleCheck, ...]
 
@@ -129,7 +126,7 @@ def group_order_constraints(k_plus: int, k_minus: int, q: int) -> FeasibilityRep
                     f"{q} {'is' if power else 'is not'} a power of {base}",
                 )
             )
-    return FeasibilityReport(k_plus, k_minus, q, n, tuple(rules))
+    return FeasibilityReport(n, tuple(rules))
 
 
 def _shape_rules(shape: QuasiCrossShape) -> tuple[RuleCheck, ...]:
@@ -138,9 +135,9 @@ def _shape_rules(shape: QuasiCrossShape) -> tuple[RuleCheck, ...]:
 
 
 def shape_feasibility(k_plus: int, k_minus: int, n: int) -> FeasibilityReport:
-    """The shape bounds alone at dimension n >= 2 (q is reported as 0)."""
+    """The shape bounds alone at dimension n >= 2."""
     shape = QuasiCrossShape(k_plus, k_minus, n)
-    return FeasibilityReport(shape.k_plus, shape.k_minus, 0, shape.n, _shape_rules(shape))
+    return FeasibilityReport(shape.n, _shape_rules(shape))
 
 
 def instance_feasibility(k_plus: int, k_minus: int, q: int) -> FeasibilityReport:
@@ -149,5 +146,5 @@ def instance_feasibility(k_plus: int, k_minus: int, q: int) -> FeasibilityReport
     report = group_order_constraints(k_plus, k_minus, q)
     if report.n is None or report.n < 2:
         return report
-    rules = report.rules + _shape_rules(QuasiCrossShape(report.k_plus, report.k_minus, report.n))
-    return FeasibilityReport(report.k_plus, report.k_minus, report.q, report.n, rules)
+    shape = QuasiCrossShape(k_plus, k_minus, report.n)
+    return FeasibilityReport(report.n, report.rules + _shape_rules(shape))

@@ -167,9 +167,6 @@ class BalanceFamilyMember:
     """One member of the fixed-arm-ratio family: the prime used, the scaled
     arms, and the (dimension 1) splitting of Z_p it comes from."""
 
-    numerator: int
-    denominator: int
-    index: int
     prime: int
     k_plus: int
     k_minus: int
@@ -184,6 +181,7 @@ def balance_family(numerator: int, denominator: int, index: int) -> BalanceFamil
     direct primality testing; the scaling factor t = (p-1)/(a+b) gives
     arms (t*denominator, t*numerator) and Z_p splits with S = {1}.  Its
     p - 1 products pass the scan only for p <= SCAN_MAX_PRODUCTS + 1.
+    The scan has checked all that `cyclic_splitting(p, 1, ...)` would.
     """
     a, b, index = integers((numerator, denominator, index), "the arm ratio and index")
     if not 0 < a < b:
@@ -199,8 +197,8 @@ def balance_family(numerator: int, denominator: int, index: int) -> BalanceFamil
             seen += 1
             if seen == index:
                 t = (p - 1) // d
-                sp = cyclic_splitting(p, 1, t * b, t * a)
-                return BalanceFamilyMember(a, b, index, p, t * b, t * a, sp)
+                sp = _verified(make_cyclic_splitting(p, t * b, t * a, [1]))
+                return BalanceFamilyMember(p, t * b, t * a, sp)
     raise ValueError(
         f"no {index} primes = 1 (mod {d}) have p - 1 <= {limit}, the product scan's limit"
     )

@@ -157,8 +157,8 @@ def geometric_check(sp: Splitting, lat: IntegerLattice | None = None) -> Geometr
     size limit.  With no pivot above 1 the lattice is Z^n and every cell
     hits the center.  The overlap witness is the first cell in (i, m)
     order whose coset an earlier cell holds.  `lat`, when the caller
-    already has it, is `lattice_from_splitting(sp)`; the number of cosets
-    is its `determinant`.
+    already has it, is `lattice_from_splitting(sp)`.  The cosets number the
+    points of their index box, the product of the batch's pivots: the determinant.
 
     The verdict matches verify_packing/is_tiling whenever the splitters
     generate the group.  When they generate a proper subgroup the
@@ -179,7 +179,7 @@ def geometric_check(sp: Splitting, lat: IntegerLattice | None = None) -> Geometr
             if key in seen:
                 return GeometricReport("overlap", 0, (seen[key], cell))
             seen[key] = cell
-    uncovered = determinant(lat) - 1 - len(keys)
+    uncovered = prod(hnf[p][-1][1] for p in batch) - 1 - len(keys)
     return GeometricReport("tiling" if uncovered == 0 else "packing", uncovered)
 
 

@@ -219,6 +219,16 @@ def test_balance_family(a, b, index, prime, k_plus, k_minus):
     assert oracles.brute_is_tiling((prime,), k_plus, k_minus, sp.splitters)
 
 
+@pytest.mark.parametrize("a,b,index", [(1, 2, 6), (2, 3, 1), (1, 3, 5)])
+def test_balance_family_tests_each_candidate_prime_once(monkeypatch, a, b, index):
+    # the scan's primality test is the only one: the member is built
+    # without cyclic_splitting's checks of its arguments
+    tested, is_prime = [], constructions.is_prime
+    monkeypatch.setattr(constructions, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    p = balance_family(a, b, index).prime
+    assert tested == list(range(a + b + 1, p + 1, a + b))
+
+
 def test_balance_family_preconditions():
     with pytest.raises(ValueError):
         balance_family(2, 4, 1)  # not in lowest terms

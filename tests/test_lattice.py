@@ -230,6 +230,23 @@ def test_non_generating_splitters_tile_their_subgroup(tmp_path, capsys):
     assert packing_density(lattice_from_splitting(sp), sp.shape) == 1
 
 
+@pytest.mark.parametrize("flags", [(), ("--format", "json")], ids=["text", "json"])
+def test_verify_computes_the_determinant_once(monkeypatch, tmp_path, capsys, flags):
+    # the geometric check counts its cosets from the pivots its batch is
+    # reduced by, so the determinant verify prints is the only one it takes
+    calls, det = [], lattice_mod.determinant
+    monkeypatch.setattr(lattice_mod, "determinant", lambda lat: calls.append(lat) or det(lat))
+    for sp in (
+        cyclic_splitting(5, 2, 3, 1),
+        field_splitting(7, 3, 4, 2),
+        two_one_splitting(5),
+        make_cyclic_splitting(17, 3, 2, [1, 13]),
+    ):
+        calls.clear()
+        verify_cli(tmp_path, capsys, sp, *flags)
+        assert len(calls) == 1
+
+
 def test_geometric_check_tiling():
     report = geometric_check(two_one_splitting(2))
     assert report.verdict == "tiling"

@@ -23,6 +23,7 @@ from quasicross import (
     SearchTimeout,
     classify_singularity,
     geometric_check,
+    instance_feasibility,
     is_tiling,
     search_tilings,
     survey,
@@ -841,6 +842,14 @@ def test_survey_prune_skips_ruled_out():
             assert not row.searched and row.tilings == ()
         else:
             assert row.searched
+
+
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+def test_survey_rows_read_their_feasibility_report(prune):
+    for row in survey(10, 100, prune_with_bounds=prune):
+        report = instance_feasibility(row.k_plus, row.k_minus, row.q)
+        triggered = tuple(rule.name for rule in report.triggered())
+        assert (row.n, row.ruled_out, row.triggered) == (report.n, report.ruled_out, triggered)
 
 
 def test_survey_pruned_and_full_agree_on_tilings():
